@@ -261,17 +261,30 @@ func BenchmarkTRNGBit(b *testing.B) {
 // bit), edge-level reference vs the leapfrog fast path. One op is one
 // packed output byte (8 bits), so the reported bytes/sec are the raw
 // serving rate; the fast path must be ≥ 100× the edge path.
+//
+// The calibrated case is the operating point trngd serves by default:
+// the amp-1 model trngd builds (core.PaperModel().ScaleJitter(1)),
+// divider K = 64·100² = 640000 and no ring mismatch, on the fast path.
+// Its per-bit cost should stay within a small factor of the
+// K = 100000 leapfrog case — the fast path's cost does not scale with
+// the divider.
 func BenchmarkLeapfrogBit(b *testing.B) {
-	const divider = 100_000
 	for _, mode := range []struct {
-		name string
-		leap bool
-	}{{"edge", false}, {"leapfrog", true}} {
+		name     string
+		model    core.Model
+		divider  int
+		mismatch float64
+		leap     bool
+	}{
+		{"edge", core.PaperModel(), 100_000, 2e-3, false},
+		{"leapfrog", core.PaperModel(), 100_000, 2e-3, true},
+		{"calibrated", core.PaperModel().ScaleJitter(1), 640_000, 0, true},
+	} {
 		b.Run(mode.name, func(b *testing.B) {
 			g, err := trng.New(trng.Config{
-				Model:    core.PaperModel().Phase,
-				Divider:  divider,
-				Mismatch: 2e-3,
+				Model:    mode.model.Phase,
+				Divider:  mode.divider,
+				Mismatch: mode.mismatch,
 				Seed:     7,
 				Leapfrog: mode.leap,
 			})

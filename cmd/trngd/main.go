@@ -152,11 +152,14 @@
 // # Operating point
 //
 // The default profile serves the paper's CALIBRATED model (-amp 1) at
-// its honest operating point — K ≈ 10⁵ Osc2 periods of accumulated
+// its honest operating point — K = 640000 Osc2 periods of accumulated
 // jitter per output bit — on the leapfrog fast path (-leapfrog,
-// default on): each bit's window is advanced in O(1) closed form
-// (internal/osc Leapfrog), so the cost of a bit no longer scales with
-// the divider and calibrated physics serves at real throughput.
+// default on): each bit's window is advanced by a few closed-form
+// jumps (internal/osc Leapfrog, LeapfrogToBefore) and only the ~5
+// edges straddling the sampling instant are walked, so a raw bit costs
+// ~10–20 µs (2-core Xeon) at this divider as at K = 10⁵, and
+// calibrated physics serves at real throughput. Rings under an attack
+// Modulator fall back to exact edge stepping.
 //
 // -amp remains as an EXPERIMENT knob, not a throughput necessity: it
 // amplifies the jitter amplitude -amp× (variances scale amp²) to model
@@ -169,10 +172,11 @@
 // simulation, where -amp 100 was needed for serving-scale rates) is
 // available as the golden reference.
 //
-// At the calibrated default, expect ~10 s per shard of startup (the
-// AIS31 startup test consumes 20000 bits at the honest divider) and a
-// steady-state raw rate of a few hundred bytes/s per shard — faster
-// than the 103 MHz hardware itself would emit bits at K ≈ 10⁵.
+// At the calibrated default on a 2-core Xeon, expect ~0.6 s of startup
+// (the AIS31 startup test consumes 20000 bits per shard), ~2 s until
+// DRBG output with 3 shards (gated on the first 65536-bit assessment)
+// and a steady-state raw rate of ~10 KB/s per shard — faster than the
+// 103 MHz hardware itself would emit bits at K = 640000.
 //
 // -cpuprofile / -memprofile write pprof profiles of the serving path
 // for perf work (the memory profile is written at shutdown).
@@ -338,26 +342,30 @@ func (rb *respBuf) contentLength(n int) []string {
 var ctOctet = []string{"application/octet-stream"}
 
 // queryParam extracts key's value from a raw query string without
-// allocating (r.URL.Query() builds a url.Values map per call). Escaped
-// values fall back to url.QueryUnescape; /random's parameters are
-// plain integers and booleans, so a well-formed client never leaves
-// the fast path.
+// allocating (r.URL.Query() builds a url.Values map per call). It
+// agrees with url.ParseQuery(raw).Get/Has on every query ParseQuery
+// accepts. Escaped keys and values fall back to url.QueryUnescape;
+// /random's parameters are plain integers and booleans, so a
+// well-formed client never leaves the fast path.
 func queryParam(raw, key string) (string, bool) {
 	for len(raw) > 0 {
 		var kv string
-		if i := strings.IndexByte(raw, '&'); i >= 0 {
-			kv, raw = raw[:i], raw[i+1:]
-		} else {
-			kv, raw = raw, ""
+		kv, raw, _ = strings.Cut(raw, "&")
+		if kv == "" {
+			continue
 		}
-		k, v := kv, ""
-		if i := strings.IndexByte(kv, '='); i >= 0 {
-			k, v = kv[:i], kv[i+1:]
+		k, v, _ := strings.Cut(kv, "=")
+		if strings.ContainsAny(k, "%+") {
+			u, err := url.QueryUnescape(k)
+			if err != nil {
+				continue
+			}
+			k = u
 		}
 		if k != key {
 			continue
 		}
-		if strings.IndexByte(v, '%') >= 0 || strings.IndexByte(v, '+') >= 0 {
+		if strings.ContainsAny(v, "%+") {
 			if u, err := url.QueryUnescape(v); err == nil {
 				return u, true
 			}

@@ -27,14 +27,15 @@
 // periods at O(poles) cost instead of O(N·poles) —
 // flicker.OUGenerator.AdvanceSum draws each pole's (end state, window
 // sum) from its exact joint Gaussian law, osc.Oscillator.Leapfrog
-// builds the window jump on top (plus a canonical guard band of
-// exactly-walked edges for boundary interpolation), and
-// measure.Counter, trng.Generator, multiring.Generator and the
-// entropyd shards expose it as a Leapfrog option. The fast path is
-// exact in distribution, deterministic in the seed, and falls back to
-// bit-exact edge stepping whenever an attack Modulator is installed;
-// it is what lets cmd/trngd serve the paper's calibrated physics
-// (K ≈ 10⁵ periods per bit) at real throughput.
+// builds the window jump on top, osc.Oscillator.LeapfrogToBefore
+// closes in on a sampling instant in staged jumps so only the few
+// edges straddling it are walked exactly, and measure.Counter,
+// trng.Generator, multiring.Generator and the entropyd shards expose
+// it as a Leapfrog option. The fast path is exact in distribution,
+// deterministic in the seed, and falls back to bit-exact edge stepping
+// whenever an attack Modulator is installed; it is what lets cmd/trngd
+// serve the paper's calibrated physics (K = 640000 periods per bit) at
+// real throughput.
 //
 // Serving: internal/entropyd composes the generators (internal/trng,
 // internal/multiring — both io.Readers), the post-processing blocks

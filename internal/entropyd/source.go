@@ -63,10 +63,14 @@ type SourceConfig struct {
 	// (default 2e-3).
 	Spread float64
 	// Leapfrog runs every shard source on the O(1)-per-window fast
-	// path (trng.Config.Leapfrog / multiring.Config.Leapfrog): the
-	// cost of a raw bit becomes independent of the sampling divider,
-	// which is what lets a pool serve the paper's calibrated physics
-	// (amp = 1, K ≈ 10⁵ periods per bit) at real throughput. Streams
+	// path (trng.Config.Leapfrog / multiring.Config.Leapfrog): every
+	// window is advanced by closed-form jumps and only the few edges
+	// straddling a sampling instant are walked, so a raw bit costs
+	// ~10–20 µs whatever the sampling divider (measured on a 2-core
+	// Xeon at K = 10⁵ and at trngd's K = 640000). That is what lets a
+	// pool serve the paper's calibrated physics (amp = 1) at real
+	// throughput. Shards whose rings carry an attack Modulator fall
+	// back to exact edge stepping and pay ~0.7 µs per period. Streams
 	// stay deterministic in (Config, Seed) and invariant to request
 	// chunking and worker counts; they are distribution-exact but not
 	// bit-identical to the edge-level reference realization.

@@ -78,8 +78,9 @@ type Config struct {
 	// Leapfrog selects the O(1)-per-window fast path: each window
 	// jumps Osc2 by N periods in closed form (osc.Leapfrog), jumps
 	// Osc1 to just short of the window boundary
-	// (osc.LeapfrogToBefore), and walks only the few remaining guard
-	// edges exactly for the TDC phase interpolation. The counts are
+	// (osc.LeapfrogToBefore), and walks only the few edges straddling
+	// the boundary exactly for the TDC phase interpolation, so a
+	// window costs about the same at any N. The counts are
 	// exact in distribution (same σ²_N law, same Q_N moments) but are
 	// a different realization than the edge-level reference path;
 	// oscillators that cannot leapfrog (installed Modulator, Kasdin
@@ -151,8 +152,7 @@ func (c *Counter) nextOsc1Edge() float64 {
 // window is one closed-form jump.
 func (c *Counter) advanceOsc2(n int) float64 {
 	if c.leap {
-		g := c.pair.Osc2.Leapfrog(n)
-		return g[len(g)-1]
+		return c.pair.Osc2.Leapfrog(n)
 	}
 	if c.win2 == nil {
 		w := n
@@ -182,10 +182,10 @@ func (c *Counter) phiAt(t float64) int64 {
 		// Fast path: Osc1's cursor sits exactly on the already-pulled
 		// nextEdge1 (leapfrog counters read no further ahead), so jump
 		// it to just short of the boundary and let the loop below walk
-		// the remaining slack edges. The jump emits j edges beyond
+		// the few remaining edges. The jumps emit j edges beyond
 		// nextEdge1, all ≤ t with overwhelming probability; nextEdge1
 		// itself plus those j edges enter the phase count, and the
-		// jump's last edge becomes the interpolation anchor.
+		// last jump's end edge becomes the interpolation anchor.
 		if j := c.pair.Osc1.LeapfrogToBefore(t); j > 0 {
 			c.edges += j + 1
 			c.lastEdge1 = c.pair.Osc1.Now()

@@ -43,9 +43,10 @@ type Config struct {
 	// Seed seeds all rings.
 	Seed uint64
 	// Leapfrog selects the O(1)-per-sample fast path: between sample
-	// instants each ring jumps most of its stride in closed form
-	// (osc.LeapfrogToBefore) and walks only the last few edges exactly
-	// for the waveform interpolation. Worth enabling when the
+	// instants each ring jumps its stride in closed form, in stages
+	// that close in on the instant (osc.LeapfrogToBefore), and walks
+	// only the few edges straddling it exactly for the waveform
+	// interpolation. Worth enabling when the
 	// per-sample stride f0/SampleRate is large (slow sampling of fast
 	// rings); with short strides the jump primitive declines to engage
 	// and the path degenerates to plain stepping. The output is exact

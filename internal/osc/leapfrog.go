@@ -15,18 +15,19 @@
 // equivalence is distributional (see the σ²_N sweep tests in
 // internal/measure).
 //
-// # Guard band
+// # Landing before a sampling instant
 //
 // Consumers that sample waveforms (measure.Counter's TDC interpolation,
-// the trng DFF, multiring) need the exact edge times AROUND a window
-// boundary, not just the accumulated jump. Leapfrog therefore uses a
-// CANONICAL decomposition: every window jumps n − g periods in closed
-// form and walks the last g = min(n, LeapfrogGuard) edges exactly,
-// whether or not the caller reads them. The guard band is a view onto
-// generation, not a generation parameter — that is what makes a seeded
-// leapfrog stream invariant to how many guard edges each consumer
-// chooses to use (a per-window guard knob would change the draw layout
-// and with it the whole downstream bit stream).
+// the trng DFF, multiring) need the exact edges that straddle a
+// sampling instant t. LeapfrogToBefore jumps toward t in stages, each
+// sized to stay short of t by a fixed multiple of that stage's own
+// jitter σ. Flicker σ grows linearly with the span (paper eq. 11), so
+// a single jump leaves a margin proportional to the span — ~460
+// periods at the calibrated paper model and K = 640000. Re-estimating
+// the gap after each jump and jumping again shrinks the margin to a
+// few periods in two stages, and only those edges around t are walked
+// exactly. Each jump is an exact Markov transition of the oscillator
+// state, so composing them keeps the landing exact in distribution.
 //
 // # Fallback
 //
@@ -45,23 +46,17 @@ import (
 	"repro/internal/flicker"
 )
 
-// LeapfrogGuard is the canonical guard band: the number of trailing
-// edges of every leapfrog window that are walked exactly (and exposed
-// to the caller) rather than jumped in closed form. It comfortably
-// covers every consumer in the repository — all of them interpolate
-// within the one or two periods straddling a sampling instant.
-const LeapfrogGuard = 16
-
 // leapfrogMinJump is the smallest closed-form jump worth taking; below
 // it the fixed O(poles) jump cost exceeds plain stepping.
 const leapfrogMinJump = 4
 
-// leapfrogSlackSigma sizes the landing margin of LeapfrogToBefore in
-// units of the jump's time-jitter standard deviation. The flicker term
-// of the margin estimate is additionally doubled (the sum-of-OU
-// spectrum can exceed the asymptotic 1/f law near the band edges), so
-// the effective margin stays ≥ leapfrogSlackSigma σ; overshoot
-// probability is below ~1e-50 per jump for any physical model.
+// leapfrogSlackSigma sizes the landing margin of each LeapfrogToBefore
+// stage in units of that stage's time-jitter standard deviation. The
+// flicker term of the margin estimate is additionally doubled (the
+// sum-of-OU spectrum can exceed the asymptotic 1/f law near the band
+// edges), so the effective margin stays ≥ leapfrogSlackSigma σ;
+// overshoot probability is below ~1e-50 per jump for any physical
+// model.
 const leapfrogSlackSigma = 16
 
 // CanLeapfrog reports whether the closed-form fast path is available:
@@ -79,30 +74,22 @@ func (o *Oscillator) CanLeapfrog() bool {
 	return ok
 }
 
-// Leapfrog advances the oscillator by n periods and returns the times
-// of the last min(n, LeapfrogGuard) edges, in order (the returned slice
-// aliases an internal buffer, valid until the next oscillator call; its
-// last element equals Now()). Cost is O(poles + LeapfrogGuard)
-// regardless of n on the fast path; when CanLeapfrog is false, or n is
-// too small for a jump to pay off, the same edges are produced by
-// exact stepping instead.
+// Leapfrog advances the oscillator by n periods and returns the time of
+// the last edge (Now() afterwards). Cost is O(poles) regardless of n on
+// the fast path; when CanLeapfrog is false, or n is too small for a
+// jump to pay off, the n periods are stepped exactly instead — the
+// same edges a twin oscillator emits through NextEdges.
 //
-// Same seed + same call sequence ⇒ same stream; the realization is
-// independent of whether or how many guard edges callers read.
-func (o *Oscillator) Leapfrog(n int) []float64 {
-	if n <= 0 {
-		return o.guardFor(0)
+// Same seed + same call sequence ⇒ same stream.
+func (o *Oscillator) Leapfrog(n int) float64 {
+	if n >= leapfrogMinJump && o.CanLeapfrog() {
+		o.jump(n)
+		return o.t
 	}
-	g := LeapfrogGuard
-	if g > n {
-		g = n
+	for i := 0; i < n; i++ {
+		o.NextPeriod()
 	}
-	m := n - g
-	if m < leapfrogMinJump || !o.CanLeapfrog() {
-		return o.walkEdges(n, g)
-	}
-	o.jump(m)
-	return o.walkEdges(g, g)
+	return o.t
 }
 
 // jump advances m periods in closed form: Δt is the nominal span plus
@@ -128,69 +115,40 @@ func (o *Oscillator) jump(m int) {
 	o.index += uint64(m)
 }
 
-// walkEdges steps n periods exactly and returns the times of the last
-// g ≤ n edges.
-func (o *Oscillator) walkEdges(n, g int) []float64 {
-	if rem := n - g; rem > 0 {
-		scratch := o.guardScratchFor(LeapfrogGuard * 8)
-		for rem > 0 {
-			k := rem
-			if k > len(scratch) {
-				k = len(scratch)
-			}
-			o.NextEdges(scratch[:k])
-			rem -= k
-		}
-	}
-	return o.NextEdges(o.guardFor(g))
-}
-
-// guardFor returns the reusable guard-edge buffer resized to g.
-func (o *Oscillator) guardFor(g int) []float64 {
-	if cap(o.guard) < g {
-		o.guard = make([]float64, g)
-	}
-	return o.guard[:g]
-}
-
-// guardScratchFor returns the reusable fallback stepping buffer.
-func (o *Oscillator) guardScratchFor(n int) []float64 {
-	if cap(o.guardScratch) < n {
-		o.guardScratch = make([]float64, n)
-	}
-	return o.guardScratch[:n]
-}
-
 // LeapfrogToBefore fast-forwards the oscillator toward the absolute
-// time t and returns the number of periods advanced. The jump length is
-// chosen so that the landing stays strictly before t with overwhelming
-// probability (see leapfrogSlackSigma): the expected remaining gap
-// after the jump is the slack margin, which the caller closes by
-// walking edges exactly (NextEdge) until it straddles t — the pattern
-// every waveform-sampling consumer uses. Returns 0 when t is too close
-// for a jump to pay off (or already past); the caller's exact walk
-// then simply does all the work.
+// time t and returns the total number of periods advanced. It jumps in
+// stages: each stage re-estimates the remaining gap from Now() and
+// jumps that many periods less its slack margin (see
+// leapfrogSlackSigma), so every landing stays strictly before t with
+// overwhelming probability, until the next jump would be shorter than
+// leapfrogMinJump. The caller closes the last few periods by walking
+// edges exactly (NextEdge) until it straddles t — the pattern every
+// waveform-sampling consumer uses. Returns 0 when t is too close for a
+// jump to pay off (or already past); the caller's exact walk then
+// simply does all the work.
 //
 // The caller must have consumed the oscillator's edges up to Now() —
-// i.e. no unconsumed read-ahead — since the jump advances from the
+// i.e. no unconsumed read-ahead — since the jumps advance from the
 // oscillator's own cursor.
 func (o *Oscillator) LeapfrogToBefore(t float64) uint64 {
-	gap := t - o.t
-	if gap <= 0 || !o.CanLeapfrog() {
+	if !o.CanLeapfrog() {
 		return 0
 	}
-	est := gap / o.period0
-	if est >= 1<<53 {
-		// Nonsensical horizon (would overflow exact float integers);
-		// let the caller's edge walk fail naturally.
-		return 0
+	var total uint64
+	for {
+		est := (t - o.t) / o.period0
+		if !(est > 0 && est < 1<<53) {
+			// Past, NaN, or a nonsensical horizon (would overflow exact
+			// float integers): leave it to the caller's edge walk.
+			return total
+		}
+		m := int(est) - o.slackPeriods(est)
+		if m < leapfrogMinJump {
+			return total
+		}
+		o.jump(m)
+		total += uint64(m)
 	}
-	m := int(est) - o.slackPeriods(est)
-	if m < leapfrogMinJump+LeapfrogGuard {
-		return 0
-	}
-	o.Leapfrog(m)
-	return uint64(m)
 }
 
 // slackPeriods returns the landing margin for a jump of ~m periods: the

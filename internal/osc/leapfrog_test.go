@@ -21,42 +21,27 @@ func newLeapOsc(t testing.TB, seed uint64, opt Options) *Oscillator {
 	return o
 }
 
-// TestLeapfrogDeterminism pins the fast path's seed determinism and its
-// guard-band-view invariance: identical seeds and window sequences give
-// identical guard edges, identical Now/Index, and identical subsequent
-// scalar streams — whether or not a caller reads the guard edges, and
-// regardless of how many of them it reads (generation is canonical).
+// TestLeapfrogDeterminism pins the fast path's seed determinism:
+// identical seeds and window sequences give identical end times,
+// identical Now/Index, and identical subsequent scalar streams.
 func TestLeapfrogDeterminism(t *testing.T) {
 	a := newLeapOsc(t, 7, Options{})
 	b := newLeapOsc(t, 7, Options{})
 	if !a.CanLeapfrog() {
 		t.Fatal("plain oscillator must support leapfrog")
 	}
-	for _, n := range []int{100_000, 1, 17, 4096} {
+	for _, n := range []int{100_000, 1, 17, 4096, 0} {
 		idx := a.Index()
-		ga := a.Leapfrog(n)
-		gb := b.Leapfrog(n)
-		_ = gb[0] // b's caller reads its guard edges; a's mostly ignores them
-		if len(ga) != len(gb) {
-			t.Fatalf("n=%d: guard lengths %d vs %d", n, len(ga), len(gb))
-		}
-		for i := range ga {
-			if ga[i] != gb[i] {
-				t.Fatalf("n=%d: guard edge %d differs: %g vs %g", n, i, ga[i], gb[i])
-			}
-		}
-		want := LeapfrogGuard
-		if n < want {
-			want = n
-		}
-		if len(ga) != want {
-			t.Fatalf("n=%d: got %d guard edges, want %d", n, len(ga), want)
+		ea := a.Leapfrog(n)
+		eb := b.Leapfrog(n)
+		if ea != eb {
+			t.Fatalf("n=%d: end times differ: %g vs %g", n, ea, eb)
 		}
 		if a.Index() != idx+uint64(n) {
 			t.Fatalf("n=%d: index advanced by %d, want %d", n, a.Index()-idx, n)
 		}
-		if a.Now() != b.Now() || a.Now() != ga[len(ga)-1] {
-			t.Fatalf("n=%d: Now %g vs %g vs last guard edge %g", n, a.Now(), b.Now(), ga[len(ga)-1])
+		if a.Now() != b.Now() || a.Now() != ea {
+			t.Fatalf("n=%d: Now %g vs %g vs returned end %g", n, a.Now(), b.Now(), ea)
 		}
 	}
 	for i := 0; i < 100; i++ {
@@ -68,8 +53,8 @@ func TestLeapfrogDeterminism(t *testing.T) {
 
 // TestLeapfrogFallsBackToEdgePath pins the bit-exact fallback: with a
 // Modulator installed, with the Kasdin flicker backend, or when the
-// window is too small for a jump, Leapfrog must emit exactly the edge
-// stream a twin oscillator produces with NextEdges.
+// window is too small for a jump, Leapfrog must end on exactly the
+// edge a twin oscillator reaches with NextEdges.
 func TestLeapfrogFallsBackToEdgePath(t *testing.T) {
 	cases := []struct {
 		name string
@@ -79,7 +64,7 @@ func TestLeapfrogFallsBackToEdgePath(t *testing.T) {
 	}{
 		{"modulator", Options{Modulator: func(t float64, i uint64) float64 { return 1e-12 }}, 2000, false},
 		{"kasdin", Options{FlickerGenerator: "kasdin"}, 2000, false},
-		{"small-window", Options{}, LeapfrogGuard + leapfrogMinJump - 1, true},
+		{"small-window", Options{}, leapfrogMinJump - 1, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -88,16 +73,18 @@ func TestLeapfrogFallsBackToEdgePath(t *testing.T) {
 			if got := a.CanLeapfrog(); got != tc.can {
 				t.Fatalf("CanLeapfrog = %v, want %v", got, tc.can)
 			}
-			guard := a.Leapfrog(tc.n)
+			end := a.Leapfrog(tc.n)
 			edges := b.NextEdges(make([]float64, tc.n))
-			tail := edges[tc.n-len(guard):]
-			for i := range guard {
-				if guard[i] != tail[i] {
-					t.Fatalf("guard edge %d: %g vs edge path %g", i, guard[i], tail[i])
-				}
+			if end != edges[tc.n-1] {
+				t.Fatalf("end %g vs edge path %g", end, edges[tc.n-1])
 			}
 			if a.Now() != b.Now() || a.Index() != b.Index() {
 				t.Fatalf("fallback state mismatch: Now %g vs %g, Index %d vs %d", a.Now(), b.Now(), a.Index(), b.Index())
+			}
+			for i := 0; i < 100; i++ {
+				if a.NextPeriod() != b.NextPeriod() {
+					t.Fatalf("streams diverged after fallback at step %d", i)
+				}
 			}
 		})
 	}
@@ -166,7 +153,8 @@ func TestLeapfrogToBefore(t *testing.T) {
 		if o.Now() >= target {
 			t.Fatalf("window %d: jump overshot: Now %g >= target %g", w, o.Now(), target)
 		}
-		// The remaining walk is the slack margin: small and bounded.
+		// The remaining walk is the last stage's slack margin: a few
+		// edges.
 		walked := 0
 		for o.Now() < target {
 			o.NextEdge()
@@ -201,8 +189,7 @@ func TestLeapfrogMonotoneTime(t *testing.T) {
 		if i%3 == 0 {
 			now = o.NextEdge()
 		} else {
-			g := o.Leapfrog(1000 + i)
-			now = g[len(g)-1]
+			now = o.Leapfrog(1000 + i)
 		}
 		if now <= last {
 			t.Fatalf("step %d: time went backwards: %g -> %g", i, last, now)

@@ -17,7 +17,8 @@
 // Besides the edge-by-edge path, the oscillator offers a leapfrog
 // fast-forward (Leapfrog, LeapfrogToBefore — see leapfrog.go) that
 // advances a whole window of periods at O(poles) cost, exact in
-// distribution; any installed Modulator forces the edge-level path.
+// distribution, leaving only the few edges around a sampling instant
+// to be walked; any installed Modulator forces the edge-level path.
 package osc
 
 import (
@@ -72,9 +73,6 @@ type Oscillator struct {
 	period0 float64
 	thScale float64
 	flScale float64
-	// Leapfrog guard-band buffers (see leapfrog.go).
-	guard        []float64
-	guardScratch []float64
 }
 
 // New constructs an oscillator for the given phase-noise model.

@@ -35,8 +35,10 @@ type Config struct {
 	// Leapfrog selects the O(1)-per-bit fast path: each bit jumps
 	// Osc2 across the whole divider window in closed form
 	// (osc.Leapfrog) and jumps Osc1 to just short of the sampling
-	// instant (osc.LeapfrogToBefore), walking only the few remaining
-	// edges exactly for the DFF phase interpolation. The bit stream is
+	// instant (osc.LeapfrogToBefore), walking only the few edges that
+	// straddle it exactly for the DFF phase interpolation. A bit costs
+	// ~10–20 µs at any divider (K = 10⁵ and the served K = 640000
+	// alike, on a 2-core Xeon). The bit stream is
 	// exact in distribution and deterministic in (Config, Seed) —
 	// invariant to how reads are chunked — but is a different
 	// realization than the edge-level path, which remains the golden

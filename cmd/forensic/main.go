@@ -38,15 +38,8 @@ import (
 	"repro/internal/obs/incident"
 )
 
-// eventsPage mirrors trngd's /events response shape.
-type eventsPage struct {
-	LastSeq uint64      `json:"last_seq"`
-	Dropped uint64      `json:"dropped"`
-	Events  []obs.Event `json:"events"`
-}
-
 // loadEvents decodes a dump that is either an /events page object or a
-// bare JSON array of events.
+// bare JSON array of events, every one of them timestamped.
 func loadEvents(r io.Reader) ([]obs.Event, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -55,18 +48,26 @@ func loadEvents(r io.Reader) ([]obs.Event, error) {
 	trimmed := strings.TrimLeftFunc(string(data), func(r rune) bool {
 		return r == ' ' || r == '\t' || r == '\n' || r == '\r'
 	})
+	var evs []obs.Event
 	if strings.HasPrefix(trimmed, "[") {
-		var evs []obs.Event
 		if err := json.Unmarshal(data, &evs); err != nil {
 			return nil, fmt.Errorf("parsing event array: %w", err)
 		}
-		return evs, nil
+	} else {
+		var page obs.Page
+		if err := json.Unmarshal(data, &page); err != nil {
+			return nil, fmt.Errorf("parsing /events page: %w", err)
+		}
+		evs = page.Events
 	}
-	var page eventsPage
-	if err := json.Unmarshal(data, &page); err != nil {
-		return nil, fmt.Errorf("parsing /events page: %w", err)
+	// The engine stamps an untimed event with the wall clock, which
+	// would make the replay depend on when it runs.
+	for _, e := range evs {
+		if e.At.IsZero() {
+			return nil, fmt.Errorf("event seq %d has no timestamp", e.Seq)
+		}
 	}
-	return page.Events, nil
+	return evs, nil
 }
 
 // fetchEvents pages a live /events endpoint from cursor 0 until the
@@ -85,7 +86,7 @@ func fetchEvents(base string) ([]obs.Event, error) {
 			resp.Body.Close()
 			return nil, fmt.Errorf("GET /events: %s: %s", resp.Status, strings.TrimSpace(string(body)))
 		}
-		var page eventsPage
+		var page obs.Page
 		err = json.NewDecoder(resp.Body).Decode(&page)
 		resp.Body.Close()
 		if err != nil {

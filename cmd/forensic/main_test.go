@@ -43,7 +43,7 @@ func TestLoadEventsShapes(t *testing.T) {
 	t.Parallel()
 	evs := supplyRippleDump()
 	// The /events page shape.
-	page, _ := json.Marshal(eventsPage{LastSeq: 12, Events: evs})
+	page, _ := json.Marshal(obs.Page{LastSeq: 12, Events: evs})
 	got, err := loadEvents(bytes.NewReader(page))
 	if err != nil || len(got) != len(evs) {
 		t.Fatalf("page shape: %d events, err %v", len(got), err)
@@ -59,6 +59,10 @@ func TestLoadEventsShapes(t *testing.T) {
 	}
 	if _, err := loadEvents(strings.NewReader("not json")); err == nil {
 		t.Fatal("garbage accepted")
+	}
+	// An untimed event would replay at the wall clock of the replay.
+	if _, err := loadEvents(strings.NewReader(`[{"type":"alarm","shard":0}]`)); err == nil {
+		t.Fatal("untimed event accepted")
 	}
 }
 
@@ -113,7 +117,7 @@ func TestFetchEventsPagesCursor(t *testing.T) {
 		}
 		var since uint64
 		fmt.Sscanf(r.URL.Query().Get("since"), "%d", &since)
-		var page eventsPage
+		var page obs.Page
 		for _, e := range evs {
 			if e.Seq > since && len(page.Events) < 2 {
 				page.Events = append(page.Events, e)

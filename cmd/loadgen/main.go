@@ -86,6 +86,7 @@ import (
 	"time"
 
 	"repro/internal/loadstat"
+	"repro/internal/obs"
 )
 
 // counters is the shared tally of one measurement run. All fields are
@@ -331,17 +332,6 @@ type IncidentReport struct {
 	Open    int               `json:"open"`
 }
 
-// eventsPage mirrors trngd's GET /events response shape; only the
-// fields loadgen consumes are decoded.
-type eventsPage struct {
-	LastSeq uint64 `json:"last_seq"`
-	Dropped uint64 `json:"dropped"`
-	Events  []struct {
-		Seq  uint64 `json:"seq"`
-		Type string `json:"type"`
-	} `json:"events"`
-}
-
 // incidentsPage mirrors trngd's GET /incidents response shape.
 type incidentsPage struct {
 	LastID    uint64 `json:"last_id"`
@@ -368,7 +358,7 @@ func eventsCursor(client *http.Client, base string) (uint64, bool, error) {
 	if resp.StatusCode != http.StatusOK {
 		return 0, false, fmt.Errorf("/events: status %d", resp.StatusCode)
 	}
-	var page eventsPage
+	var page obs.Page
 	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
 		return 0, false, err
 	}
@@ -385,7 +375,7 @@ func countEvents(client *http.Client, base string, since uint64) (*EventReport, 
 		if err != nil {
 			return nil, err
 		}
-		var page eventsPage
+		var page obs.Page
 		err = json.NewDecoder(resp.Body).Decode(&page)
 		resp.Body.Close()
 		if err != nil {
@@ -395,9 +385,9 @@ func countEvents(client *http.Client, base string, since uint64) (*EventReport, 
 		rep.Dropped += page.Dropped
 		for _, e := range page.Events {
 			switch e.Type {
-			case "request-shed":
+			case obs.TypeRequestShed:
 				rep.Shed++
-			case "starvation-abort":
+			case obs.TypeStarveAbort:
 				rep.StarvationAborts++
 			}
 			if e.Seq > cursor {

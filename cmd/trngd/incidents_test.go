@@ -187,7 +187,7 @@ func TestEventsDroppedReported(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		j.Emit(obs.Event{Type: obs.TypeSeedDraw, Shard: 0, Lane: -1})
 	}
-	var er eventsResponse
+	var er obs.Page
 	if code := getJSON(t, ts.URL+"/events", &er); code != http.StatusOK {
 		t.Fatalf("/events: status %d", code)
 	}
@@ -195,7 +195,7 @@ func TestEventsDroppedReported(t *testing.T) {
 		t.Fatalf("dropped=%d last_seq=%d, want last_seq-8", er.Dropped, er.LastSeq)
 	}
 	// A caught-up cursor drops nothing.
-	var live eventsResponse
+	var live obs.Page
 	getJSON(t, fmt.Sprintf("%s/events?since=%d", ts.URL, er.LastSeq-2), &live)
 	if live.Dropped != 0 || len(live.Events) != 2 {
 		t.Fatalf("live cursor: %+v", live)

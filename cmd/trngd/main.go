@@ -44,8 +44,9 @@
 //	                      -events 0.
 //	POST /quarantine?shard=I   (with -admin) force-quarantine a shard — an
 //	                      operator drill for the self-healing path. The
-//	                      injected marker event pairs with the resulting
-//	                      quarantine into a measured detection latency
+//	                      incident engine pairs the injected marker event
+//	                      with the resulting quarantine into a measured
+//	                      detection latency
 //	                      (trngd_shard_detection_latency_seconds).
 //
 // # Observability
@@ -78,11 +79,12 @@
 // trngd_incident_blast_radius and
 // trngd_incident_mtt{d,r}_seconds{class}.
 //
-// Detection latency — ROADMAP item 2's headline metric — is derived in
-// the journal: an injection-marker event (the /quarantine drill, or
-// internal/attack drills via attack.Mark) starts a clock per shard;
-// the shard's next quarantine event stops it, and the elapsed time is
-// recorded per alarm class in trngd_shard_detection_latency_seconds.
+// Detection latency is derived by the same engine: an injection-marker
+// event (the /quarantine drill, or internal/attack drills via
+// attack.Mark) starts a clock per shard; the shard's first quarantine
+// in the incident stops it, and the elapsed time is recorded per alarm
+// class in trngd_shard_detection_latency_seconds. The family is absent
+// with -incident-window 0.
 //
 // Request-phase tracing splits trngd_request_duration_seconds into
 // queue-wait / lane-generate / response-write phase histograms
@@ -235,9 +237,9 @@ type serverConfig struct {
 	wait      time.Duration
 	admin     bool
 	pprof     bool             // mount /debug/pprof on the serving mux
-	journal   *obs.Journal     // /events + detection-latency source; nil disables
+	journal   *obs.Journal     // /events source; nil disables
 	sink      obs.Sink         // daemon-event emission (shed, starvation abort)
-	incidents *incident.Engine // /incidents correlation engine; nil disables
+	incidents *incident.Engine // /incidents + detection-latency source; nil disables
 }
 
 // server wraps the pool with HTTP concerns: the bounded in-flight
@@ -692,8 +694,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "trngd_requests_starved_total %d\n", s.starved.Load())
 	family("trngd_bytes_served_total", "counter", "Random bytes delivered.")
 	fmt.Fprintf(w, "trngd_bytes_served_total %d\n", served)
-	family("trngd_random_bytes_total", "counter", "Random bytes delivered by /random (alias of trngd_bytes_served_total).")
-	fmt.Fprintf(w, "trngd_random_bytes_total %d\n", served)
 	family("trngd_throughput_bytes_per_second", "gauge", "Mean delivery rate since start.")
 	fmt.Fprintf(w, "trngd_throughput_bytes_per_second %g\n", float64(served)/math.Max(up, 1e-9))
 	// Runtime health of the daemon process itself.
@@ -732,8 +732,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		hist("trngd_request_phase_duration_seconds",
 			fmt.Sprintf("mode=%q,phase=%q", mode, ph.name), ph.h.Snapshot())
 	}
-	// Flight-recorder journal and the detection latencies it derives
-	// from injection-marker → quarantine event pairs.
+	// Flight-recorder journal.
 	if j := s.cfg.journal; j != nil {
 		family("trngd_journal_events_total", "counter", "Events recorded by the flight-recorder journal.")
 		fmt.Fprintf(w, "trngd_journal_events_total %d\n", j.LastSeq())
@@ -741,7 +740,16 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "trngd_journal_capacity_events %d\n", j.Capacity())
 		family("trngd_journal_dropped_total", "counter", "Journal events lost to ring overwrite before an /events reader saw them (sums the dropped counts of every page served).")
 		fmt.Fprintf(w, "trngd_journal_dropped_total %d\n", s.dropped.Load())
-		if lats := j.DetectionLatencies(); len(lats) > 0 {
+	}
+	// Fleet incident correlation: incidents opened by class, the open
+	// set, resolved blast radii, MTTD/MTTR and the per-shard detection
+	// latencies. Incident class series render even at zero so
+	// dashboards and CI can assert their presence; a
+	// single-shard→correlated upgrade moves one count between the class
+	// labels (the sum stays monotonic).
+	if eng := s.cfg.incidents; eng != nil {
+		ist := eng.Stats()
+		if lats := ist.Detection; len(lats) > 0 {
 			classes := make([]string, 0, len(lats))
 			for c := range lats {
 				classes = append(classes, c)
@@ -753,14 +761,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				hist("trngd_shard_detection_latency_seconds", fmt.Sprintf("class=%q", c), lats[c])
 			}
 		}
-	}
-	// Fleet incident correlation: incidents opened by class, the open
-	// set, resolved blast radii, and MTTD/MTTR. Class series render
-	// even at zero so dashboards and CI can assert their presence; a
-	// single-shard→correlated upgrade moves one count between the class
-	// labels (the sum stays monotonic).
-	if eng := s.cfg.incidents; eng != nil {
-		ist := eng.Stats()
 		family("trngd_incidents_total", "counter", "Incidents opened by the correlation engine, labeled by current class.")
 		for _, c := range incident.Classes {
 			fmt.Fprintf(w, "trngd_incidents_total{class=%q} %d\n", c, ist.Totals[c])
@@ -938,20 +938,11 @@ var streamCostBounds = []promBound{
 	{"0.0001", 100 * time.Microsecond},
 }
 
-// eventsResponse is the GET /events payload. LastSeq is the reader's
-// next ?since= cursor — returned even when no event matched, so an
-// idle poller still advances past the events it has seen. Dropped is
-// the cursor gap: events the ring overwrote between the reader's
-// ?since= and the oldest retained entry — history this reader lost.
-type eventsResponse struct {
-	LastSeq uint64      `json:"last_seq"`
-	Dropped uint64      `json:"dropped"`
-	Events  []obs.Event `json:"events"`
-}
-
 // handleEvents is GET /events[?since=SEQ&shard=I&lane=I&type=T&limit=N]:
-// the flight-recorder journal, oldest matching event first. 404 when
-// the journal is disabled (-events 0).
+// the flight-recorder journal as one obs.Page, oldest matching event
+// first. last_seq is the reader's next ?since= cursor even when no
+// event matched; dropped is the history the ring overwrote before this
+// reader got to it. 404 when the journal is disabled (-events 0).
 func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -1006,7 +997,7 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		page.Events = []obs.Event{} // an empty page is "events": [], not null
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(eventsResponse{LastSeq: page.LastSeq, Dropped: page.Dropped, Events: page.Events})
+	json.NewEncoder(w).Encode(page)
 }
 
 // incidentsResponse is the GET /incidents payload. LastID is the
@@ -1083,7 +1074,7 @@ func (s *server) handleQuarantine(w http.ResponseWriter, r *http.Request) {
 // amplification: K = 64·(100/amp)², which holds the accumulated jitter
 // per output bit — and with it the entropy per bit — constant across
 // amp. At calibrated physics (amp = 1) this is the paper's honest
-// operating regime of K ≈ 10⁵ periods per bit.
+// operating regime of K = 64·100² = 640000 periods per bit.
 func autoDivider(amp float64) int {
 	return int(math.Max(1, math.Round(64*(100/amp)*(100/amp))))
 }
@@ -1130,7 +1121,7 @@ func main() {
 		seedTap     = flag.Int("seedtap", 1<<13, "per-shard raw seed tap bytes (drbg mode)")
 		admin       = flag.Bool("admin", false, "enable POST /quarantine (operator drills)")
 		events      = flag.Int("events", obs.DefaultCapacity, "event journal capacity (0 disables the journal and /events)")
-		incidentWin = flag.Duration("incident-window", incident.DefaultWindow, "cross-shard alarm correlation window for the incident engine (0 disables it and /incidents; requires -events > 0)")
+		incidentWin = flag.Duration("incident-window", incident.DefaultWindow, "cross-shard alarm correlation window for the incident engine (0 disables it, /incidents and trngd_shard_detection_latency_seconds; requires -events > 0)")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		pprofOn     = flag.Bool("pprof", false, "mount /debug/pprof on the serving mux")
 		assess      = flag.Bool("assess", true, "periodic SP 800-90B raw-bit assessment per shard")
@@ -1192,9 +1183,8 @@ func main() {
 		fatal("unknown -mode (raw or drbg)", "mode", *mode)
 	}
 
-	// The observability sink: the ring-buffer journal (serving /events
-	// and the detection-latency metric) plus structured logs sharing the
-	// same event vocabulary. Emission is passive — the pool's output is
+	// The observability sink: the ring-buffer journal (serving /events)
+	// plus structured logs sharing the same event vocabulary. Emission is passive — the pool's output is
 	// bit-identical with or without it.
 	var journal *obs.Journal
 	var engine *incident.Engine

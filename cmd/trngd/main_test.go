@@ -139,8 +139,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	text := string(body)
 	for _, want := range []string{
 		"trngd_requests_total",
-		"trngd_bytes_served_total",
-		"trngd_random_bytes_total 64",
+		"trngd_bytes_served_total 64",
 		"trngd_throughput_bytes_per_second",
 		"trngd_shards_healthy 2",
 		`trngd_shard_state{shard="1"} 1`,

@@ -19,13 +19,13 @@ import (
 // incident correlation engine, plus a handler with the journal, admin
 // drills and (optionally) pprof enabled — the full observability
 // surface under test.
-func startObserved(t *testing.T, cfg entropyd.Config, pprofOn bool) (*entropyd.Pool, *obs.Journal, http.Handler) {
+func startObserved(t *testing.T, cfg entropyd.Config, pprofOn bool) (*obs.Journal, *incident.Engine, http.Handler) {
 	t.Helper()
 	j := obs.NewJournal(1 << 12)
 	eng := incident.New(30 * time.Second)
 	sink := obs.Multi(j, eng)
 	cfg.Sink = sink
-	pool, h := startServedWith(t, cfg, serverConfig{
+	_, h := startServedWith(t, cfg, serverConfig{
 		queue:     16,
 		maxBytes:  1 << 16,
 		wait:      10 * time.Second,
@@ -35,7 +35,7 @@ func startObserved(t *testing.T, cfg entropyd.Config, pprofOn bool) (*entropyd.P
 		sink:      sink,
 		incidents: eng,
 	})
-	return pool, j, h
+	return j, eng, h
 }
 
 func getJSON(t *testing.T, url string, v any) int {
@@ -60,12 +60,12 @@ func getJSON(t *testing.T, url string, v any) int {
 // /metrics.
 func TestEventsEndpoint(t *testing.T) {
 	t.Parallel()
-	_, j, h := startObserved(t, testConfig(2, 21), false)
+	j, eng, h := startObserved(t, testConfig(2, 21), false)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
 	// Startup already journaled: one startup-pass per shard.
-	var er eventsResponse
+	var er obs.Page
 	if code := getJSON(t, ts.URL+"/events?type=startup-pass", &er); code != http.StatusOK {
 		t.Fatalf("/events: status %d", code)
 	}
@@ -81,7 +81,7 @@ func TestEventsEndpoint(t *testing.T) {
 	// Cursor contract: ?since=last_seq returns an empty page (not null)
 	// and still advances the baseline cursor.
 	cursor := er.LastSeq
-	var empty eventsResponse
+	var empty obs.Page
 	getJSON(t, fmt.Sprintf("%s/events?since=%d", ts.URL, j.LastSeq()), &empty)
 	if empty.Events == nil || len(empty.Events) != 0 {
 		t.Fatalf("empty page: %+v", empty)
@@ -108,7 +108,7 @@ func TestEventsEndpoint(t *testing.T) {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 		}
-		var page eventsResponse
+		var page obs.Page
 		getJSON(t, fmt.Sprintf("%s/events?since=%d&shard=1", ts.URL, cursor), &page)
 		for i := range page.Events {
 			e := page.Events[i]
@@ -135,7 +135,7 @@ func TestEventsEndpoint(t *testing.T) {
 	}
 
 	// The pair became a measured detection latency.
-	lats := j.DetectionLatencies()
+	lats := eng.Stats().Detection
 	if lats["injected"] == nil || lats["injected"].Count() != 1 {
 		t.Fatalf("detection latencies: %+v", lats)
 	}
@@ -157,12 +157,12 @@ func TestEventsEndpoint(t *testing.T) {
 	}
 
 	// Filters and paging.
-	var limited eventsResponse
+	var limited obs.Page
 	getJSON(t, ts.URL+"/events?limit=1", &limited)
 	if len(limited.Events) != 1 {
 		t.Fatalf("limit=1 returned %d events", len(limited.Events))
 	}
-	var typed eventsResponse
+	var typed obs.Page
 	getJSON(t, ts.URL+"/events?type=quarantine&shard=1", &typed)
 	for _, e := range typed.Events {
 		if e.Type != obs.TypeQuarantine || e.Shard != 1 {

@@ -358,9 +358,9 @@ func (b *SamplerBias) Describe() string {
 
 // Mark records the moment an attack drill is armed against a shard by
 // emitting an injection-marker event (nil-safe: a nil sink records
-// nothing). The observability journal pairs the marker with the
-// shard's next quarantine event, turning the drill into a measured
-// detection latency — call it at the attack's logical onset.
+// nothing). The incident engine (internal/obs/incident) pairs the
+// marker with the shard's quarantine, turning the drill into a
+// measured detection latency — call it at the attack's logical onset.
 func Mark(sink obs.Sink, shard int, s Describer) {
 	e := obs.Event{Type: obs.TypeInjectionMarker, Shard: shard, Lane: obs.Any}
 	if s != nil {

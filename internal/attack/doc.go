@@ -65,6 +65,6 @@
 //
 // experiments.AttackMatrix runs this catalog against live health-gated
 // pools and measures the (scenario × defense layer) detection-coverage
-// matrix, including per-class detection latency from the obs journal's
-// injection-marker → quarantine pairing (see Mark).
+// matrix, including per-class detection latency from the incident
+// engine's injection-marker → quarantine pairing (see Mark).
 package attack

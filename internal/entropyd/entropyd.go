@@ -470,8 +470,8 @@ func (p *Pool) InjectAlarm(i int) error {
 		return fmt.Errorf("entropyd: shard %d is %v, not healthy", i, st)
 	}
 	p.shards[i].injected.Store(true)
-	// The marker is the detection-latency clock start: the journal
-	// pairs it with the shard's next quarantine event.
+	// The marker is the detection-latency clock start: the incident
+	// engine pairs it with the shard's quarantine.
 	p.emit(obs.Event{Type: obs.TypeInjectionMarker, Shard: i, Lane: obs.Any,
 		Epoch: p.shards[i].Epoch(), Detail: "InjectAlarm"})
 	return nil

@@ -75,6 +75,14 @@ func TestJournalBitIdentity(t *testing.T) {
 // NewTestJournal builds a journal sized for a test run.
 func NewTestJournal() *obs.Journal { return obs.NewJournal(1 << 12) }
 
+// newObserved fans one sink out to a test journal, which pages the
+// event story, and an incident engine, which derives the detection
+// latencies.
+func newObserved() (*obs.Journal, *incident.Engine, obs.Sink) {
+	j, eng := NewTestJournal(), incident.New(incident.DefaultWindow)
+	return j, eng, obs.Multi(j, eng)
+}
+
 // TestIncidentEngineBitIdentity extends the passivity pin to the
 // incident correlation engine: fanning the event stream out to the
 // engine alongside the journal must leave the pool's output
@@ -161,7 +169,7 @@ func TestShardLifecycleEventSequence(t *testing.T) {
 	// Construction: one startup-pass per shard.
 	q := obs.NewQuery()
 	q.Type = obs.TypeStartupPass
-	if evs, _ := j.Events(q); len(evs) != 2 {
+	if evs := j.Read(q).Events; len(evs) != 2 {
 		t.Fatalf("startup-pass events = %d, want 2", len(evs))
 	}
 
@@ -173,7 +181,7 @@ func TestShardLifecycleEventSequence(t *testing.T) {
 
 	q = obs.NewQuery()
 	q.Shard = 0
-	evs, _ := j.Events(q)
+	evs := j.Read(q).Events
 	var types []obs.Type
 	for _, e := range evs {
 		types = append(types, e.Type)
@@ -206,16 +214,17 @@ func TestShardLifecycleEventSequence(t *testing.T) {
 }
 
 // drillLatency runs one drill: emit the marker, trip the shard via
-// fill, and return the paired detection latency for the class plus the
-// marker→quarantine event pair (the /events correlation contract).
-func drillLatency(t *testing.T, j *obs.Journal, p *Pool, class string, fill func()) {
+// fill, and check the engine's detection latency for the class plus the
+// marker→quarantine event pair in the journal (the /events correlation
+// contract).
+func drillLatency(t *testing.T, j *obs.Journal, eng *incident.Engine, p *Pool, class string, fill func()) {
 	t.Helper()
 	fill()
 	s0 := p.Shard(0)
 	if s0.State() != StateQuarantined || s0.LastReason().String() != class {
 		t.Fatalf("shard 0: state %v reason %v, want quarantined/%s", s0.State(), s0.LastReason(), class)
 	}
-	lats := j.DetectionLatencies()
+	lats := eng.Stats().Detection
 	snap, ok := lats[class]
 	if !ok || snap.Count() != 1 {
 		t.Fatalf("detection latency for class %q not recorded: %v", class, lats)
@@ -227,7 +236,7 @@ func drillLatency(t *testing.T, j *obs.Journal, p *Pool, class string, fill func
 	q := obs.NewQuery()
 	q.Shard = 0
 	q.Type = obs.TypeInjectionMarker
-	markers, _ := j.Events(q)
+	markers := j.Read(q).Events
 	if len(markers) != 1 {
 		t.Fatalf("marker events = %d, want 1", len(markers))
 	}
@@ -235,7 +244,7 @@ func drillLatency(t *testing.T, j *obs.Journal, p *Pool, class string, fill func
 	q.Shard = 0
 	q.Type = obs.TypeQuarantine
 	q.Since = markers[0].Seq
-	quars, _ := j.Events(q)
+	quars := j.Read(q).Events
 	if len(quars) != 1 || quars[0].Reason != class {
 		t.Fatalf("quarantine after marker: %+v, want one with reason %s", quars, class)
 	}
@@ -246,12 +255,12 @@ func drillLatency(t *testing.T, j *obs.Journal, p *Pool, class string, fill func
 // quarantine stops it.
 func TestDetectionLatencyTot(t *testing.T) {
 	t.Parallel()
-	j := NewTestJournal()
+	j, eng, sink := newObserved()
 	cfg := Config{
 		Shards: 2,
 		Seed:   7,
 		Health: HealthConfig{DisableMonitor: true, TotWindow: 64},
-		Sink:   j,
+		Sink:   sink,
 		NewSource: func(shard, epoch int, seed uint64) (RawSource, error) {
 			fail := uint64(math.MaxUint64)
 			if shard == 0 && epoch == 0 {
@@ -264,8 +273,8 @@ func TestDetectionLatencyTot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attack.Mark(j, 0, nil) // drill armed: clock starts
-	drillLatency(t, j, p, "tot", func() {
+	attack.Mark(sink, 0, nil) // drill armed: clock starts
+	drillLatency(t, j, eng, p, "tot", func() {
 		buf := make([]byte, 2048)
 		if _, err := p.Fill(buf); err != nil {
 			t.Fatal(err)
@@ -278,9 +287,9 @@ func TestDetectionLatencyTot(t *testing.T) {
 // layer, thermal-low quarantine closes the pair.
 func TestDetectionLatencyThermal(t *testing.T) {
 	t.Parallel()
-	j := NewTestJournal()
+	j, eng, sink := newObserved()
 	cfg := thermalConfig(2, 31)
-	cfg.Sink = j
+	cfg.Sink = sink
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -289,8 +298,8 @@ func TestDetectionLatencyThermal(t *testing.T) {
 	sc := attack.ThermalSuppression{Factor: 0.9}
 	sc.Arm(pair.Osc1)
 	sc.Arm(pair.Osc2)
-	attack.Mark(j, 0, sc)
-	drillLatency(t, j, p, "thermal-low", func() {
+	attack.Mark(sink, 0, sc)
+	drillLatency(t, j, eng, p, "thermal-low", func() {
 		buf := make([]byte, 8192)
 		if _, err := p.Fill(buf); err != nil {
 			t.Fatal(err)
@@ -300,7 +309,7 @@ func TestDetectionLatencyThermal(t *testing.T) {
 	q := obs.NewQuery()
 	q.Shard = 0
 	q.Type = obs.TypeAlarm
-	evs, _ := j.Events(q)
+	evs := j.Read(q).Events
 	if len(evs) != 1 || evs[0].Reason != "thermal-low" || evs[0].Value <= 0 {
 		t.Fatalf("thermal alarm event: %+v, want reason thermal-low with positive variance", evs)
 	}
@@ -311,11 +320,11 @@ func TestDetectionLatencyThermal(t *testing.T) {
 // zero entropy; the SP 800-90B predictors catch it.
 func TestDetectionLatencyLowEntropy(t *testing.T) {
 	t.Parallel()
-	j := NewTestJournal()
+	j, eng, sink := newObserved()
 	cfg := Config{
 		Shards: 2,
 		Seed:   9,
-		Sink:   j,
+		Sink:   sink,
 		NewSource: func(shard, epoch int, seed uint64) (RawSource, error) {
 			if shard == 0 && epoch == 0 {
 				return &alternatingSource{}, nil
@@ -328,8 +337,8 @@ func TestDetectionLatencyLowEntropy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attack.Mark(j, 0, nil)
-	drillLatency(t, j, p, "low-entropy", func() {
+	attack.Mark(sink, 0, nil)
+	drillLatency(t, j, eng, p, "low-entropy", func() {
 		// Keep filling until the assessment sample completes and fires
 		// (AssessBits raw bits through shard 0).
 		buf := make([]byte, 4096)
@@ -344,7 +353,7 @@ func TestDetectionLatencyLowEntropy(t *testing.T) {
 	q := obs.NewQuery()
 	q.Shard = 0
 	q.Type = obs.TypeAlarm
-	evs, _ := j.Events(q)
+	evs := j.Read(q).Events
 	if len(evs) != 1 || evs[0].Reason != "low-entropy" {
 		t.Fatalf("low-entropy alarm event: %+v", evs)
 	}
@@ -358,12 +367,12 @@ func TestDetectionLatencyLowEntropy(t *testing.T) {
 // pair with class "injected".
 func TestInjectAlarmEmitsMarker(t *testing.T) {
 	t.Parallel()
-	j := NewTestJournal()
+	j, eng, sink := newObserved()
 	cfg := Config{
 		Shards:    2,
 		Seed:      11,
 		Health:    HealthConfig{DisableMonitor: true},
-		Sink:      j,
+		Sink:      sink,
 		NewSource: goodScript,
 	}
 	p, err := New(cfg)
@@ -375,15 +384,15 @@ func TestInjectAlarmEmitsMarker(t *testing.T) {
 	}
 	q := obs.NewQuery()
 	q.Type = obs.TypeInjectionMarker
-	if evs, _ := j.Events(q); len(evs) != 1 || evs[0].Shard != 0 {
+	if evs := j.Read(q).Events; len(evs) != 1 || evs[0].Shard != 0 {
 		t.Fatalf("marker events after InjectAlarm: %+v", evs)
 	}
 	buf := make([]byte, 2048)
 	if _, err := p.Fill(buf); err != nil {
 		t.Fatal(err)
 	}
-	if snap := j.DetectionLatencies()["injected"]; snap == nil || snap.Count() != 1 {
-		t.Fatalf("injected-class latency not recorded: %v", j.DetectionLatencies())
+	if snap := eng.Stats().Detection["injected"]; snap == nil || snap.Count() != 1 {
+		t.Fatalf("injected-class latency not recorded: %v", eng.Stats().Detection)
 	}
 }
 
@@ -414,12 +423,12 @@ func TestDRBGAndSeedEvents(t *testing.T) {
 	}
 	q := obs.NewQuery()
 	q.Type = obs.TypeDRBGReseedFail
-	if evs, _ := j.Events(q); len(evs) == 0 {
+	if evs := j.Read(q).Events; len(evs) == 0 {
 		t.Fatal("no drbg-reseed-fail event for the starved instantiate")
 	}
 	q = obs.NewQuery()
 	q.Type = obs.TypeDRBGFailClosed
-	if evs, _ := j.Events(q); len(evs) != 1 {
+	if evs := j.Read(q).Events; len(evs) != 1 {
 		t.Fatalf("drbg-fail-closed events = %d, want 1", len(evs))
 	}
 
@@ -433,7 +442,7 @@ func TestDRBGAndSeedEvents(t *testing.T) {
 	q = obs.NewQuery()
 	q.Since = cursor
 	q.Type = obs.TypeDRBGInstantiate
-	inst, _ := j.Events(q)
+	inst := j.Read(q).Events
 	if len(inst) == 0 {
 		t.Fatal("no drbg-instantiate events")
 	}
@@ -445,7 +454,7 @@ func TestDRBGAndSeedEvents(t *testing.T) {
 	q = obs.NewQuery()
 	q.Since = cursor
 	q.Type = obs.TypeSeedDraw
-	draws, _ := j.Events(q)
+	draws := j.Read(q).Events
 	if len(draws) == 0 {
 		t.Fatal("no seed-draw events")
 	}
@@ -460,7 +469,7 @@ func TestDRBGAndSeedEvents(t *testing.T) {
 	q = obs.NewQuery()
 	q.Since = cursor
 	q.Type = obs.TypeDRBGReseed
-	if evs, _ := j.Events(q); len(evs) == 0 {
+	if evs := j.Read(q).Events; len(evs) == 0 {
 		t.Fatal("no drbg-reseed events despite the 2-block interval")
 	}
 }

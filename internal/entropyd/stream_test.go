@@ -140,11 +140,11 @@ func TestStreamingIsPassive(t *testing.T) {
 func TestStreamingWatermarkDrill(t *testing.T) {
 	t.Parallel()
 	const onset = 20000
-	j := NewTestJournal()
+	j, eng, sink := newObserved()
 	cfg := Config{
 		Shards: 2,
 		Seed:   9,
-		Sink:   j,
+		Sink:   sink,
 		NewSource: func(shard, epoch int, seed uint64) (RawSource, error) {
 			if shard == 0 && epoch == 0 {
 				return &fadeSource{r: rng.New(seed), after: onset}, nil
@@ -157,7 +157,7 @@ func TestStreamingWatermarkDrill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attack.Mark(j, 0, nil) // drill armed: clock starts
+	attack.Mark(sink, 0, nil) // drill armed: clock starts
 	buf := make([]byte, 4096)
 	for i := 0; i < 16 && p.Shard(0).State() == StateHealthy; i++ {
 		if _, err := p.Fill(buf); err != nil {
@@ -182,7 +182,7 @@ func TestStreamingWatermarkDrill(t *testing.T) {
 	q := obs.NewQuery()
 	q.Shard = 0
 	q.Type = obs.TypeLiveWatermark
-	marks, _ := j.Events(q)
+	marks := j.Read(q).Events
 	if len(marks) != 1 {
 		t.Fatalf("live-watermark events = %d, want 1", len(marks))
 	}
@@ -192,7 +192,7 @@ func TestStreamingWatermarkDrill(t *testing.T) {
 	q = obs.NewQuery()
 	q.Shard = 0
 	q.Type = obs.TypeAlarm
-	alarms, _ := j.Events(q)
+	alarms := j.Read(q).Events
 	if len(alarms) != 1 || alarms[0].Reason != "live-low-entropy" {
 		t.Fatalf("alarm events: %+v, want one live-low-entropy", alarms)
 	}
@@ -200,15 +200,15 @@ func TestStreamingWatermarkDrill(t *testing.T) {
 	q.Shard = 0
 	q.Type = obs.TypeQuarantine
 	q.Since = marks[0].Seq
-	quars, _ := j.Events(q)
+	quars := j.Read(q).Events
 	if len(quars) != 1 || quars[0].Reason != "live-low-entropy" {
 		t.Fatalf("quarantine after watermark: %+v", quars)
 	}
-	// The marker→quarantine pairing lands in the PR-7 detection-latency
-	// histogram under the new class.
-	snap, ok := j.DetectionLatencies()["live-low-entropy"]
+	// The marker→quarantine pairing lands in the engine's
+	// detection-latency histogram under the new class.
+	snap, ok := eng.Stats().Detection["live-low-entropy"]
 	if !ok || snap.Count() != 1 {
-		t.Fatalf("live-low-entropy detection latency not recorded: %v", j.DetectionLatencies())
+		t.Fatalf("live-low-entropy detection latency not recorded: %v", eng.Stats().Detection)
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 // AIS 31 tot test, the calibration gate (startup), the paper's §V
 // thermal monitor, the SP 800-90B assessment, and the DRBG fail-closed
 // path — is scored per scenario: detected (with latency in raw bits
-// and the journal's wall-clock marker→quarantine pairing), missed (ran
+// and the incident engine's wall-clock marker→quarantine latency), missed (ran
 // a full detection horizon at attack strength without firing), or
 // shadowed (another layer quarantined the shard first). The matrix is
 // the evidence behind the threat-catalog claims: calibrated monitors
@@ -272,8 +272,8 @@ type AttackCell struct {
 	LatencyBitsMean float64 `json:"latency_bits_mean,omitempty"`
 	LatencyBitsMax  int64   `json:"latency_bits_max,omitempty"`
 	BoundBits       uint64  `json:"bound_bits,omitempty"`
-	// LatencyWallMean is the journal's marker→quarantine pairing in
-	// seconds (flight-recorder wall clock, reported not asserted).
+	// LatencyWallMean is the incident engine's marker→quarantine
+	// detection latency in seconds (wall clock, reported not asserted).
 	LatencyWallMean float64 `json:"latency_wall_s_mean,omitempty"`
 }
 
@@ -520,7 +520,7 @@ func (sc amSpec) run(seed uint64, streamOn bool) (amRep, error) {
 		}
 		if !preDone && pool.Shard(primary).RawBits()+4096 >= sc.onset {
 			// DRBG liveness just before onset, then the injection
-			// markers that start the journal's latency clocks.
+			// markers that start the engine's latency clocks.
 			_, gerr := dp.Generate(gbuf, true, 2*time.Second)
 			rep.drbgPre = gerr == nil
 			for _, a := range attacked {
@@ -564,7 +564,7 @@ func (sc amSpec) run(seed uint64, streamOn bool) (amRep, error) {
 		rep.liveLayer = amReasonLayer(d.reason)
 		rep.latBits = d.bits
 		rep.postFull = d.bits - int64(sc.ramp)/2
-		if lat := j.DetectionLatencies(); lat[d.reason] != nil {
+		if lat := eng.Stats().Detection; lat[d.reason] != nil {
 			rep.wallSec = lat[d.reason].Mean().Seconds()
 		}
 	} else {
@@ -587,7 +587,7 @@ func (sc amSpec) run(seed uint64, streamOn bool) (amRep, error) {
 	if len(attacked) == shards && rep.allCaught {
 		_, gerr := dp.Generate(gbuf, true, 150*time.Millisecond)
 		if errors.Is(gerr, entropyd.ErrSeedStarved) {
-			ev, _ := j.Events(obs.Query{Shard: obs.Any, Lane: obs.Any, Type: obs.TypeDRBGFailClosed})
+			ev := j.Read(obs.Query{Shard: obs.Any, Lane: obs.Any, Type: obs.TypeDRBGFailClosed}).Events
 			rep.drbgClosed = len(ev) > 0
 		}
 	} else {

@@ -31,7 +31,7 @@ func amFindCell(t *testing.T, row AttackRow, layer string) AttackCell {
 // inside its per-window tolerance sails past tot, the startup battery
 // re-runs, and the §V monitor pair — and is caught only by the
 // SP 800-90B assessment, with the long detection latency recorded
-// through the journal's injection-marker pairing.
+// by the incident engine from the injection marker.
 func TestAttackMatrixEvasionCase(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second live-pool campaign")
@@ -78,10 +78,10 @@ func TestAttackMatrixEvasionCase(t *testing.T) {
 	if c.BoundBits > 0 && c.LatencyBitsMax > int64(c.BoundBits) {
 		t.Errorf("sp90b latency %d raw bits exceeds its own bound %d", c.LatencyBitsMax, c.BoundBits)
 	}
-	// The journal's marker→quarantine pairing must have measured a real
+	// The engine's marker→quarantine detection latency must be a real
 	// wall-clock latency for the detection.
 	if c.LatencyWallMean <= 0 {
-		t.Errorf("journal recorded no wall-clock detection latency (mean %v s)", c.LatencyWallMean)
+		t.Errorf("engine recorded no wall-clock detection latency (mean %v s)", c.LatencyWallMean)
 	}
 	// Entropy collapse must shut the expansion layer, not just the raw
 	// taps.

@@ -10,7 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/entropyd"
-	"repro/internal/obs"
+	"repro/internal/obs/incident"
 	"repro/internal/trng"
 )
 
@@ -39,10 +39,10 @@ import (
 //     quantization.
 //
 // Detection latency is measured in raw bits from attack onset (the
-// simulation-exact clock) with the journal's marker→quarantine pairing
-// supplying the wall-clock view. The headline assertion: streaming
-// detects the ramp in at most HALF the raw bits of the deployment-
-// cadence batch configuration. Against batch-tight the gap is honest
+// simulation-exact clock) with the incident engine's marker→quarantine
+// latency supplying the wall-clock view. The headline assertion:
+// streaming detects the ramp in at most HALF the raw bits of the
+// deployment-cadence batch configuration. Against batch-tight the gap is honest
 // but small (both are floor-bound by the ramp itself — entropy must
 // actually collapse before any estimator may say so); that ratio is
 // reported, not asserted.
@@ -100,8 +100,8 @@ type StreamLatencyMode struct {
 	// "live-low-entropy" for streaming).
 	Reason string `json:"reason"`
 	// LatencyBitsMean/Max are raw bits from attack onset to quarantine
-	// over the reps; LatencyWallMean is the journal's
-	// marker→quarantine pairing in seconds.
+	// over the reps; LatencyWallMean is the incident engine's
+	// marker→quarantine detection latency in seconds.
 	LatencyBitsMean float64 `json:"latency_bits_mean"`
 	LatencyBitsMax  int64   `json:"latency_bits_max"`
 	LatencyWallMean float64 `json:"latency_wall_s_mean"`
@@ -238,14 +238,14 @@ func slRun(md slMode, seed uint64) (slRep, error) {
 		health.AssessEveryBits = md.assessEvery
 		health.AssessMinEntropy = amMinEntropy
 	}
-	j := obs.NewJournal(obs.DefaultCapacity)
+	eng := incident.New(0)
 	cfg := entropyd.Config{
 		Shards: 1,
 		Seed:   seed,
 		Jobs:   1,
 		Source: entropyd.SourceConfig{Kind: entropyd.SourceERO, Model: m, Divider: amDivider},
 		Health: health,
-		Sink:   j,
+		Sink:   eng,
 		NewSource: func(_, epoch int, s uint64) (entropyd.RawSource, error) {
 			g, err := trng.New(trng.Config{Model: m, Divider: amDivider, Seed: s})
 			if err != nil {
@@ -275,12 +275,12 @@ func slRun(md slMode, seed uint64) (slRep, error) {
 		}
 		s := pool.Shard(0)
 		if !marked && s.RawBits()+4096 >= amOnsetBits {
-			attack.Mark(j, 0, marker)
+			attack.Mark(eng, 0, marker)
 			marked = true
 		}
 		if s.State() == entropyd.StateQuarantined {
 			rep := slRep{reason: s.LastReason().String(), bits: int64(s.RawBits()) - int64(amOnsetBits)}
-			if lat := j.DetectionLatencies(); lat[rep.reason] != nil {
+			if lat := eng.Stats().Detection; lat[rep.reason] != nil {
 				rep.wallSec = lat[rep.reason].Mean().Seconds()
 			}
 			return rep, nil

@@ -38,13 +38,13 @@ func TestStreamLatencyHeadline(t *testing.T) {
 			t.Errorf("%s: detected by reason %q, want %q", mode, m.Reason, want)
 		}
 		// Detection must land after onset but inside the run budget, and
-		// the journal must pair the injection marker with a real
+		// the incident engine must pair the injection marker with a real
 		// wall-clock latency.
 		if m.LatencyBitsMean <= 0 || m.LatencyBitsMax <= 0 {
 			t.Errorf("%s: non-positive latency (mean %.0f, max %d)", mode, m.LatencyBitsMean, m.LatencyBitsMax)
 		}
 		if m.LatencyWallMean <= 0 {
-			t.Errorf("%s: journal recorded no wall-clock detection latency", mode)
+			t.Errorf("%s: engine recorded no wall-clock detection latency", mode)
 		}
 	}
 	if r.ImprovementVsDefault < 2 {

@@ -4,7 +4,8 @@
 // and derived detection (MTTD) and recovery (MTTR) times. It is the
 // layer that turns N simultaneous quarantines on a shared supply rail
 // from "N unrelated shard failures" into "one correlated fleet
-// incident with blast radius N".
+// incident with blast radius N". It is also the one place that derives
+// timings from events: the journal only records them.
 //
 // # Clustering rule
 //
@@ -54,6 +55,16 @@
 // per-class loadstat histograms and the final blast radius into a
 // small power-of-two-bucket histogram, all exposed via Stats for
 // /metrics export.
+//
+// # Detection latency
+//
+// At the first quarantine in a shard's timeline, when that timeline
+// consumed an injection marker, the engine records quarantine minus
+// marker into a histogram keyed by the quarantine reason (the alarm
+// class): the measured version of the paper's §V detection argument,
+// exported as Stats.Detection. A later quarantine in the same
+// timeline (a failed recalibration re-tripping the shard) adds
+// nothing: one injected degradation is detected once.
 //
 // # The /incidents cursor contract
 //

@@ -123,7 +123,8 @@ type Engine struct {
 	totals  map[string]uint64 // current class -> incidents opened
 	mttr    map[string]*loadstat.Histogram
 	mttd    map[string]*loadstat.Histogram
-	blastN  []uint64 // per BlastBounds bucket + overflow, resolved only
+	detect  map[string]*loadstat.Histogram // quarantine reason -> marker→quarantine
+	blastN  []uint64                       // per BlastBounds bucket + overflow, resolved only
 	blastC  uint64
 	blastS  uint64 // sum of resolved radii
 }
@@ -142,6 +143,7 @@ func New(window time.Duration) *Engine {
 		totals:    map[string]uint64{ClassSingleShard: 0, ClassCorrelated: 0},
 		mttr:      make(map[string]*loadstat.Histogram),
 		mttd:      make(map[string]*loadstat.Histogram),
+		detect:    make(map[string]*loadstat.Histogram),
 		blastN:    make([]uint64, len(BlastBounds)+1),
 	}
 }
@@ -223,8 +225,9 @@ func (e *Engine) alarm(ev obs.Event) {
 		}
 	}
 	tl := inc.timeline(ev.Shard)
+	firstQuarantine := false
 	if ev.Type == obs.TypeQuarantine {
-		if tl.Quarantine.IsZero() {
+		if firstQuarantine = tl.Quarantine.IsZero(); firstQuarantine {
 			tl.Quarantine = ev.At
 		}
 	} else {
@@ -251,6 +254,9 @@ func (e *Engine) alarm(ev obs.Event) {
 				inc.MTTDSeconds = tl.DetectSeconds
 			}
 		}
+	}
+	if firstQuarantine && !tl.Marker.IsZero() {
+		record(e.detect, ev.Reason, ev.At.Sub(tl.Marker))
 	}
 	inc.LastAlarmAt = ev.At
 	inc.Events++
@@ -282,19 +288,9 @@ func (e *Engine) maybeResolve(inc *Incident, at time.Time) {
 	inc.ResolvedAt = at
 	mttr := at.Sub(inc.OpenedAt)
 	inc.MTTRSeconds = mttr.Seconds()
-	h := e.mttr[inc.Class]
-	if h == nil {
-		h = loadstat.New()
-		e.mttr[inc.Class] = h
-	}
-	h.Record(mttr)
+	record(e.mttr, inc.Class, mttr)
 	if inc.MTTDSeconds > 0 {
-		h = e.mttd[inc.Class]
-		if h == nil {
-			h = loadstat.New()
-			e.mttd[inc.Class] = h
-		}
-		h.Record(time.Duration(inc.MTTDSeconds * float64(time.Second)))
+		record(e.mttd, inc.Class, time.Duration(inc.MTTDSeconds*float64(time.Second)))
 	}
 	idx := len(BlastBounds)
 	for i, b := range BlastBounds {
@@ -319,6 +315,16 @@ func (e *Engine) maybeResolve(inc *Incident, at time.Time) {
 	if len(e.recent) > e.maxRecent {
 		e.recent = e.recent[len(e.recent)-e.maxRecent:]
 	}
+}
+
+// record adds d to the class histogram of m, creating it on first use.
+func record(m map[string]*loadstat.Histogram, class string, d time.Duration) {
+	h := m[class]
+	if h == nil {
+		h = loadstat.New()
+		m[class] = h
+	}
+	h.Record(d)
 }
 
 // Incidents returns every open incident plus the retained resolved
@@ -353,6 +359,11 @@ type Stats struct {
 	// MTTR / MTTD are per-class histograms over resolved incidents.
 	MTTR map[string]*loadstat.Snapshot
 	MTTD map[string]*loadstat.Snapshot
+	// Detection holds the per-shard detection latencies: injection
+	// marker to the shard's first quarantine in an incident, keyed by
+	// the quarantine reason (the alarm class). Only reasons that
+	// closed at least one marker → quarantine gap appear.
+	Detection map[string]*loadstat.Snapshot
 	// BlastBuckets holds per-bucket (non-cumulative) counts of
 	// resolved incidents' final blast radii, one per BlastBounds entry
 	// plus the +Inf overflow; BlastSum is the radii sum.
@@ -369,8 +380,9 @@ func (e *Engine) Stats() Stats {
 		Open:         len(e.open),
 		OpenByClass:  map[string]int{ClassSingleShard: 0, ClassCorrelated: 0},
 		Totals:       make(map[string]uint64, len(e.totals)),
-		MTTR:         make(map[string]*loadstat.Snapshot, len(e.mttr)),
-		MTTD:         make(map[string]*loadstat.Snapshot, len(e.mttd)),
+		MTTR:         snapshots(e.mttr),
+		MTTD:         snapshots(e.mttd),
+		Detection:    snapshots(e.detect),
 		BlastBuckets: append([]uint64(nil), e.blastN...),
 		BlastCount:   e.blastC,
 		BlastSum:     float64(e.blastS),
@@ -381,11 +393,14 @@ func (e *Engine) Stats() Stats {
 	for c, n := range e.totals {
 		st.Totals[c] = n
 	}
-	for c, h := range e.mttr {
-		st.MTTR[c] = h.Snapshot()
-	}
-	for c, h := range e.mttd {
-		st.MTTD[c] = h.Snapshot()
-	}
 	return st
+}
+
+// snapshots snapshots every class histogram of m.
+func snapshots(m map[string]*loadstat.Histogram) map[string]*loadstat.Snapshot {
+	out := make(map[string]*loadstat.Snapshot, len(m))
+	for c, h := range m {
+		out[c] = h.Snapshot()
+	}
+	return out
 }

@@ -201,6 +201,42 @@ func TestIncidentsCursor(t *testing.T) {
 	}
 }
 
+// TestDetectionLatency: an injection marker pairs with the shard's
+// first quarantine, classed by quarantine reason; markers on other
+// shards stay pending.
+func TestDetectionLatency(t *testing.T) {
+	t.Parallel()
+	e := New(DefaultWindow)
+	t0 := base
+	e.Emit(obs.Event{Type: obs.TypeInjectionMarker, Shard: 0, Lane: obs.Any, At: t0})
+	e.Emit(obs.Event{Type: obs.TypeInjectionMarker, Shard: 1, Lane: obs.Any, At: t0})
+	// Quarantine on shard 0 only, 250ms later.
+	e.Emit(obs.Event{Type: obs.TypeQuarantine, Shard: 0, Lane: obs.Any, Reason: "injected", At: t0.Add(250 * time.Millisecond)})
+
+	lats := e.Stats().Detection
+	snap, ok := lats["injected"]
+	if !ok {
+		t.Fatalf("no latency class recorded: %v", lats)
+	}
+	if snap.Count() != 1 {
+		t.Fatalf("count = %d, want 1", snap.Count())
+	}
+	if p := snap.Quantile(0.5); p < 200*time.Millisecond || p > 400*time.Millisecond {
+		t.Errorf("p50 latency %v, want ~250ms", p)
+	}
+	// Shard 1's marker is still pending: a later unrelated quarantine
+	// on shard 0 must not consume it.
+	e.Emit(obs.Event{Type: obs.TypeQuarantine, Shard: 0, Lane: obs.Any, Reason: "tot", At: t0.Add(time.Second)})
+	if _, ok := e.Stats().Detection["tot"]; ok {
+		t.Error("unpaired quarantine recorded a latency")
+	}
+	// And shard 1's quarantine closes its own pair.
+	e.Emit(obs.Event{Type: obs.TypeQuarantine, Shard: 1, Lane: obs.Any, Reason: "thermal-high", At: t0.Add(2 * time.Second)})
+	if snap := e.Stats().Detection["thermal-high"]; snap == nil || snap.Count() != 1 {
+		t.Errorf("shard 1 pair not recorded: %v", e.Stats().Detection)
+	}
+}
+
 // Writer-storm stress behind a journal fan-out: concurrent emitters
 // and readers, then conservation checks — every opened incident is
 // accounted for as either open or resolved, and class totals sum to

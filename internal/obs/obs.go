@@ -1,11 +1,9 @@
 // Package obs is the observability spine of the serving stack: a
 // lock-light, fixed-capacity flight recorder (Journal) of typed events
 // covering shard lifecycle, DRBG lane activity, seed draws and daemon
-// incidents, plus the derived observables the snapshots and monotonic
-// counters of the other layers cannot express — most importantly
-// DETECTION LATENCY, the time from an injected degradation (an
-// injection-marker event) to the quarantine that caught it, measured
-// per alarm class.
+// incidents. The journal only records and pages; every timing derived
+// from events — detection latency included — is folded in one place,
+// the incident engine (internal/obs/incident).
 //
 // # Event vocabulary
 //
@@ -28,10 +26,9 @@
 //     (graceful stop began: the daemon stops accepting and drains);
 //   - drills: injection-marker, emitted by attack drills and the
 //     operator /quarantine endpoint at the moment a degradation is
-//     injected. The journal pairs each shard's most recent marker with
-//     that shard's next quarantine event and records the elapsed time
-//     in a per-alarm-class latency histogram (DetectionLatencies) —
-//     the measured version of the paper's §V detection argument.
+//     injected. The incident engine turns the marker → quarantine gap
+//     into the per-alarm-class detection latency — the measured
+//     version of the paper's §V detection argument.
 //
 // # Journal semantics
 //
@@ -54,8 +51,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/loadstat"
 )
 
 // Type classifies a journal event. The string form is the wire
@@ -114,8 +109,8 @@ const (
 	// journal's final event.
 	TypeShutdown Type = "shutdown"
 	// TypeInjectionMarker: a drill injected a degradation into a shard
-	// (operator /quarantine endpoint, attack experiments). Paired with
-	// the shard's next quarantine event for detection latency.
+	// (operator /quarantine endpoint, attack experiments). The incident
+	// engine measures detection latency from it.
 	TypeInjectionMarker Type = "injection-marker"
 	// TypeLiveWatermark: a shard's streaming-surveillance live
 	// min-entropy crossed its low watermark MID-window (Value = the
@@ -206,18 +201,12 @@ type slot struct {
 const DefaultCapacity = 4096
 
 // Journal is the flight recorder: a fixed-capacity ring of the most
-// recent events plus the detection-latency pairing state. Safe for
-// any number of concurrent emitters and readers.
+// recent events. Safe for any number of concurrent emitters and
+// readers.
 type Journal struct {
 	slots []slot
 	mask  uint64
 	seq   atomic.Uint64 // last assigned sequence number
-
-	// Detection-latency pairing (cold path: touched only on
-	// injection-marker and quarantine events).
-	pairMu  sync.Mutex
-	pending map[int]time.Time              // shard -> latest marker time
-	lat     map[string]*loadstat.Histogram // alarm class -> latency
 }
 
 // NewJournal builds a journal holding the most recent capacity events
@@ -230,12 +219,7 @@ func NewJournal(capacity int) *Journal {
 	for n < capacity {
 		n <<= 1
 	}
-	return &Journal{
-		slots:   make([]slot, n),
-		mask:    uint64(n - 1),
-		pending: make(map[int]time.Time),
-		lat:     make(map[string]*loadstat.Histogram),
-	}
+	return &Journal{slots: make([]slot, n), mask: uint64(n - 1)}
 }
 
 // Capacity returns the ring size.
@@ -258,24 +242,6 @@ func (j *Journal) Emit(e Event) {
 	sl.mu.Lock()
 	sl.ev = e
 	sl.mu.Unlock()
-	switch e.Type {
-	case TypeInjectionMarker:
-		j.pairMu.Lock()
-		j.pending[e.Shard] = e.At
-		j.pairMu.Unlock()
-	case TypeQuarantine:
-		j.pairMu.Lock()
-		if t0, ok := j.pending[e.Shard]; ok {
-			delete(j.pending, e.Shard)
-			h := j.lat[e.Reason]
-			if h == nil {
-				h = loadstat.New()
-				j.lat[e.Reason] = h
-			}
-			h.Record(e.At.Sub(t0))
-		}
-		j.pairMu.Unlock()
-	}
 }
 
 // Any matches every shard or lane in a Query.
@@ -304,36 +270,33 @@ func NewQuery() Query { return Query{Shard: Any, Lane: Any} }
 
 // Page is one cursor read of the journal: the matching events, the
 // caller's next cursor, and how many events the ring overwrote before
-// the reader got to them.
+// the reader got to them. It is also the GET /events wire shape.
 type Page struct {
-	// Events holds the matching events in ascending sequence order.
-	Events []Event
 	// LastSeq is the journal's last assigned sequence number at scan
 	// time — the caller's next baseline cursor even when no event
 	// matched.
-	LastSeq uint64
+	LastSeq uint64 `json:"last_seq"`
 	// Dropped counts the events between the reader's cursor and the
 	// oldest sequence number still retained: history the flight
 	// recorder lost to overwrite before this read. A reader paging
 	// from cursor 0 on a wrapped journal sees the full backlog it
 	// never observed.
-	Dropped uint64
-}
-
-// Events returns matching events plus the journal's current last
-// sequence number. Events emitted concurrently with the scan may be
-// missing from this page; they are picked up by the next one. Use
-// Read to additionally learn how many events were lost to overwrite.
-func (j *Journal) Events(q Query) ([]Event, uint64) {
-	p := j.Read(q)
-	return p.Events, p.LastSeq
+	Dropped uint64 `json:"dropped"`
+	// Events holds the matching events in ascending sequence order.
+	Events []Event `json:"events"`
 }
 
 // Read returns one page of matching events along with the cursor gap:
 // the count of events overwritten between the reader's cursor and the
-// oldest retained sequence number.
+// oldest retained sequence number. Events emitted concurrently with
+// the scan may be missing from this page; the next one picks them up.
+// A cursor at or past LastSeq reads an empty page with nothing
+// dropped.
 func (j *Journal) Read(q Query) Page {
 	hi := j.seq.Load()
+	if q.Since >= hi {
+		return Page{LastSeq: hi}
+	}
 	capacity := uint64(len(j.slots))
 	lo := q.Since + 1
 	var dropped uint64
@@ -366,18 +329,4 @@ func (j *Journal) Read(q Query) Page {
 		out = append(out, ev)
 	}
 	return Page{Events: out, LastSeq: hi, Dropped: dropped}
-}
-
-// DetectionLatencies snapshots the per-alarm-class detection-latency
-// histograms: one histogram per quarantine reason that has closed at
-// least one injection-marker → quarantine pair. The map key is the
-// quarantine reason string (the alarm class).
-func (j *Journal) DetectionLatencies() map[string]*loadstat.Snapshot {
-	j.pairMu.Lock()
-	defer j.pairMu.Unlock()
-	out := make(map[string]*loadstat.Snapshot, len(j.lat))
-	for class, h := range j.lat {
-		out[class] = h.Snapshot()
-	}
-	return out
 }

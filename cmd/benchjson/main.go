@@ -91,6 +91,34 @@ func bytesPerOp(perOp map[string]float64, name string) (float64, bool) {
 // benchLine matches `BenchmarkName-8  123  456.7 ns/op  8.90 MB/s`.
 var benchLine = regexp.MustCompile(`^(Benchmark\S*?)(?:-\d+)?\s+(\d+)\s+([0-9.e+]+) ns/op(?:\s+([0-9.e+]+) MB/s)?`)
 
+// parseLine parses one line of `go test -bench` output run in pkg. It
+// reports false for lines that are not benchmark results and for
+// result lines whose iteration count or ns/op does not parse or is not
+// positive, so a malformed number is never recorded as a measurement.
+func parseLine(line, pkg string, perOp map[string]float64) (Result, bool) {
+	m := benchLine.FindStringSubmatch(line)
+	if m == nil {
+		return Result{}, false
+	}
+	iters, err := strconv.ParseInt(m[2], 10, 64)
+	if err != nil || iters <= 0 {
+		return Result{}, false
+	}
+	ns, err := strconv.ParseFloat(m[3], 64)
+	if err != nil || ns <= 0 {
+		return Result{}, false
+	}
+	r := Result{Name: m[1], Package: pkg, Iterations: iters, NsPerOp: ns}
+	if b, ok := bytesPerOp(perOp, r.Name); ok {
+		r.BytesPerSec = b * 1e9 / ns
+	} else if m[4] != "" {
+		if mbs, err := strconv.ParseFloat(m[4], 64); err == nil && mbs > 0 {
+			r.BytesPerSec = mbs * 1e6
+		}
+	}
+	return r, true
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
@@ -137,21 +165,9 @@ func main() {
 		}
 		sc := bufio.NewScanner(&buf)
 		for sc.Scan() {
-			m := benchLine.FindStringSubmatch(sc.Text())
-			if m == nil {
-				continue
+			if r, ok := parseLine(sc.Text(), pkg, perOp); ok {
+				doc.Results = append(doc.Results, r)
 			}
-			iters, _ := strconv.ParseInt(m[2], 10, 64)
-			ns, _ := strconv.ParseFloat(m[3], 64)
-			r := Result{Name: m[1], Package: pkg, Iterations: iters, NsPerOp: ns}
-			if b, ok := bytesPerOp(perOp, r.Name); ok && ns > 0 {
-				r.BytesPerSec = b * 1e9 / ns
-			} else if m[4] != "" {
-				if mbs, err := strconv.ParseFloat(m[4], 64); err == nil && mbs > 0 {
-					r.BytesPerSec = mbs * 1e6
-				}
-			}
-			doc.Results = append(doc.Results, r)
 		}
 	}
 	doc.Elapsed = time.Since(start).Seconds()

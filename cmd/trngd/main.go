@@ -1112,7 +1112,7 @@ func main() {
 		maxBytes    = flag.Int("maxbytes", 1<<20, "largest /random request")
 		wait        = flag.Duration("wait", 5*time.Second, "max time to wait for the pool per request")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget: max time to drain in-flight requests on SIGTERM/SIGINT")
-		buf         = flag.Int("buf", 1<<16, "per-shard ring buffer bytes")
+		buf         = flag.Int("buf", 1<<16, "per-shard ring buffer bytes (raw mode)")
 		drbgKind    = flag.String("drbg", "ctr", "DRBG mechanism: ctr (CTR_DRBG-AES-256) or hmac (HMAC_DRBG-SHA-256)")
 		cond        = flag.String("cond", "hmac", "vetted conditioning: hmac (HMAC-SHA-256) or cbcmac (CBC-MAC/AES-256)")
 		reseedIv    = flag.Uint64("reseed-interval", 1024, "DRBG output blocks per seed (fail closed past it)")
@@ -1160,6 +1160,15 @@ func main() {
 	}
 	if *events < 0 {
 		fatal("-events must be >= 0", "events", *events)
+	}
+	if *shards < 1 {
+		fatal("-shards must be >= 1", "shards", *shards)
+	}
+	if *queue < 1 {
+		fatal("-queue must be >= 1", "queue", *queue)
+	}
+	if *maxBytes < 1 {
+		fatal("-maxbytes must be >= 1", "maxbytes", *maxBytes)
 	}
 	model := core.PaperModel().ScaleJitter(*amp)
 	k := *divider

@@ -68,11 +68,10 @@
 // starvation. Served output rate is then bounded by AES/SHA
 // throughput instead of oscillator physics; cmd/trngd serves this by
 // default (-mode drbg, with /random?pr=1 prediction resistance) and
-// the raw gated stream with -mode raw. The DRBG lanes produce blocks
-// through a demand-driven per-lane pipeline (bounded block queues, a
-// cursor-ordered consumer stitching the round-robin schedule), so
-// aggregate throughput scales with cores while the served stream stays
-// bit-identical to sequential rotation.
+// the raw gated stream with -mode raw. The DRBG lanes generate one
+// block at a time in plain round-robin rotation under one lock, and
+// the shards of a DRBG-mode pool keep no raw output ring: they run the
+// health gates, surveillance and seed tap and discard the gated bytes.
 //
 // Load and measurement: internal/loadstat is the latency layer — a
 // lock-free log-bucketed HDR-style histogram cheap enough for the

@@ -101,11 +101,10 @@ func benchDRBGPool(b *testing.B, kind DRBGKind) *DRBGPool {
 // DRBGPool.Generate over a seeded pool, in bytes/sec, for both
 // mechanisms, at GOMAXPROCS=1 and =NumCPU with b.RunParallel driving
 // one caller per proc. Together with BenchmarkPoolThroughput (the raw
-// calibrated path) it is the ISSUE-5 trajectory pair — output rate
-// bounded by AES/SHA throughput instead of oscillator physics — and
-// the gomaxprocs split is the ISSUE-6 multi-core flip: requests span
-// 16 blocks, so the per-lane worker pipeline carries the production
-// while the callers take turns stitching.
+// calibrated path) it shows the output rate bounded by AES/SHA
+// throughput instead of oscillator physics. Requests span 16 blocks
+// and callers take turns on the pool lock, so the gomaxprocs split
+// shows what lock handoff costs, not parallel production.
 func BenchmarkPoolDRBGThroughput(b *testing.B) {
 	maxProcs := runtime.NumCPU()
 	for _, kind := range []DRBGKind{DRBGCTR, DRBGHMAC} {
@@ -137,13 +136,8 @@ func BenchmarkPoolDRBGThroughput(b *testing.B) {
 }
 
 // nullDRBG is a DRBG whose Generate is a pure memory copy: swapped
-// into the lanes, it exposes the pipeline's stitch-and-copy ceiling —
-// the aggregate rate the rotation consumer can sustain when block
-// production costs nothing. On a single-CPU host (where GOMAXPROCS
-// sub-benchmarks cannot show parallel speedup) the scaling headroom is
-// this ceiling divided by one real lane's generation rate: lanes
-// produce in parallel on bigger hosts until the consumer ceiling, not
-// the crypto, binds.
+// into the lanes, it exposes the rotation's own slice-and-copy cost —
+// the rate Generate sustains when block production costs nothing.
 type nullDRBG struct{ pattern [4096]byte }
 
 func (n *nullDRBG) Name() string                            { return "null" }
@@ -159,8 +153,9 @@ func (n *nullDRBG) Generate(out, additional []byte) error {
 func (n *nullDRBG) ReseedCounter() uint64 { return 1 }
 func (n *nullDRBG) Uninstantiate()        {}
 
-// BenchmarkPoolDRBGConsumerCeiling measures the pipeline with free
-// block production (null lanes): the serialized consumer's ceiling.
+// BenchmarkPoolDRBGConsumerCeiling measures the rotation with free
+// block production (null lanes): the ceiling the pool lock and the
+// copies impose above the crypto.
 func BenchmarkPoolDRBGConsumerCeiling(b *testing.B) {
 	dp := benchDRBGPool(b, DRBGCTR)
 	for _, l := range dp.lanes {
@@ -177,9 +172,9 @@ func BenchmarkPoolDRBGConsumerCeiling(b *testing.B) {
 	}
 }
 
-// BenchmarkDRBGSingleLane is one real lane with no pipeline (a
-// single-shard pool never dispatches workers): the per-lane production
-// rate that divides the consumer ceiling into the scaling headroom.
+// BenchmarkDRBGSingleLane is one real lane (a single-shard pool): the
+// per-lane production rate, which BenchmarkPoolDRBGThroughput should
+// match because the lanes of a pool generate in turn.
 func BenchmarkDRBGSingleLane(b *testing.B) {
 	p, err := New(Config{
 		Shards:       1,

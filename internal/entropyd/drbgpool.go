@@ -34,12 +34,6 @@ func (k DRBGKind) String() string {
 	}
 }
 
-// laneQueueDepth bounds each lane's pre-generated block queue: deep
-// enough to keep a worker busy while the consumer stitches the other
-// lanes, shallow enough that a quarantine never has more than
-// laneQueueDepth×BlockBytes of suspect output to drain.
-const laneQueueDepth = 4
-
 // DRBGConfig assembles a DRBGPool.
 type DRBGConfig struct {
 	// Kind selects the mechanism (default DRBGCTR).
@@ -67,38 +61,18 @@ type DRBGConfig struct {
 	Personalization []byte
 }
 
-// drbgLane is one shard-backed DRBG instance plus its block pipeline.
-//
-// Ownership protocol: the rotation consumer (the single Generate call
-// holding DRBGPool.mu) and the lane's worker goroutine coordinate
-// through mu/cond. The DRBG instance d is touched by the worker only
-// between working=true and working=false, and by the consumer only
-// when it has observed pending==0 && !working under mu — so d needs no
-// lock of its own and every handoff carries a happens-before edge.
+// drbgLane is one shard-backed DRBG instance and the block it is
+// slicing to requests. d, buf and pos are owned by the Generate call
+// holding DRBGPool.mu; the counters are atomics for Stats.
 type drbgLane struct {
 	shard int
 	d     drbg.DRBG
 	buf   []byte // block being sliced to requests
 	pos   int    // consumed prefix of buf
 
-	// Pipeline state, owned by mu. queue holds pre-generated blocks in
-	// DRBG call order (FIFO — consuming out of order would break the
-	// stream pin); free recycles their buffers; pending is the block
-	// demand the current request has dispatched to the worker.
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    [][]byte
-	free     [][]byte
-	pending  int
-	working  bool
-	err      error  // first production failure, consumed by the rotation
-	seenQuar uint64 // shard quarantine count at the last drain check
-
 	generates atomic.Uint64
 	reseeds   atomic.Uint64
 	failures  atomic.Uint64
-	queuedN   atomic.Uint64
-	drainedN  atomic.Uint64
 	// live and counter mirror (d != nil) and d.ReseedCounter() as
 	// atomics so Stats never has to take the pool lock: /healthz and
 	// /metrics must stay responsive while a Generate holds the lock
@@ -117,36 +91,25 @@ type drbgLane struct {
 // the same seed schedule, while its RATE is bounded by AES/SHA
 // throughput instead of oscillator physics.
 //
-// Production is pipelined: a request spanning two or more blocks
-// computes, from the round-robin schedule alone, exactly how many
-// fresh blocks each lane owes it, and dispatches that demand to
-// per-lane worker goroutines filling bounded FIFO queues under the
-// lane's own lock. The rotation consumer stitches queued blocks in the
-// identical round-robin order the sequential path used, so aggregate
-// throughput scales with GOMAXPROCS while the byte stream stays
-// bit-identical to sequential rotation: each lane's DRBG calls happen
-// in the same order with the same boundaries, and each lane reseeds
-// from its own shard's tap (lane affinity), so concurrent lanes never
-// race for the same seed bytes while healthy. Demand-driven dispatch
-// (rather than free-running production) also keeps the reseed schedule
-// exactly request-shaped — no speculative Generate calls — which is
-// what lets prediction-resistance accounting stay exact.
+// Production is sequential and demand-driven: one Generate call at a
+// time holds the pool lock and fills each lane's next block when the
+// rotation reaches it, so no block is generated speculatively and the
+// reseed schedule stays exactly request-shaped — which is what lets
+// prediction-resistance accounting stay exact. Each lane reseeds from
+// its own shard's tap (lane affinity) while that shard is healthy.
 //
 // Lanes fail closed: a lane whose reseed interval is exhausted and
 // whose reseed cannot obtain seed material (its shard and every
 // fallback shard quarantined, unassessed or starved) stops producing
 // with ErrSeedStarved rather than stretching the stale seed. The pool
 // degrades to the remaining live lanes and recovers automatically once
-// recalibrated shards publish a fresh same-epoch assessment. A shard
-// quarantine additionally drains the lane's queued blocks — output
-// pre-generated before the alarm tripped is discarded unserved,
-// exactly like the raw bytes below a seed tap's drain watermark.
+// recalibrated shards publish a fresh same-epoch assessment.
 type DRBGPool struct {
 	pool *Pool
 	src  *SeedSource
 	cfg  DRBGConfig
 
-	mu    sync.Mutex // owns the rotation cursor and serializes consumers
+	mu    sync.Mutex // owns the lanes and the rotation cursor; serializes consumers
 	lanes []*drbgLane
 	rr    int
 
@@ -188,10 +151,7 @@ func (p *Pool) DRBGPool(cfg DRBGConfig) (*DRBGPool, error) {
 	d := &DRBGPool{pool: p, src: src, cfg: cfg}
 	d.lanes = make([]*drbgLane, len(p.shards))
 	for i := range d.lanes {
-		l := &drbgLane{shard: i, buf: make([]byte, 0, cfg.BlockBytes)}
-		l.cond = sync.NewCond(&l.mu)
-		l.seenQuar = p.shards[i].quarantines.Load()
-		d.lanes[i] = l
+		d.lanes[i] = &drbgLane{shard: i, buf: make([]byte, 0, cfg.BlockBytes)}
 	}
 	return d, nil
 }
@@ -234,256 +194,63 @@ func (d *DRBGPool) instantiate(l *drbgLane, wait time.Duration) error {
 	}
 	l.d = inst
 	l.live.Store(true)
+	d.reseeds.Add(1)
+	l.reseeds.Add(1)
 	d.pool.emit(obs.Event{Type: obs.TypeDRBGInstantiate, Shard: l.shard, Lane: l.shard,
 		Detail: d.cfg.Kind.String()})
 	return nil
 }
 
-// fillInto produces one output block into dst from the lane's DRBG,
+// fillLane refreshes the lane's block in place from its DRBG,
 // instantiating or reseeding first when required (or when the caller
 // demands prediction resistance). Fails closed: on any seed shortfall
-// the lane produces nothing. The caller must hold exclusive use of the
-// lane's DRBG (either the rotation with no worker active, or the
-// worker itself) and must NOT hold the lane lock — seed draws can wait.
-func (d *DRBGPool) fillInto(l *drbgLane, dst []byte, pr bool, wait time.Duration) error {
-	if l.d == nil {
-		if err := d.instantiate(l, wait); err != nil {
-			l.failures.Add(1)
-			d.reseedFails.Add(1)
-			d.pool.emit(obs.Event{Type: obs.TypeDRBGReseedFail, Shard: l.shard, Lane: l.shard,
-				Reason: err.Error()})
-			return err
-		}
-		d.reseeds.Add(1)
-		l.reseeds.Add(1)
-	} else if pr || l.d.ReseedCounter() > d.cfg.ReseedInterval {
-		seed := make([]byte, l.d.ReseedLen())
-		if err := d.src.Seed(seed, l.shard, wait); err != nil {
-			l.failures.Add(1)
-			d.reseedFails.Add(1)
-			d.pool.emit(obs.Event{Type: obs.TypeDRBGReseedFail, Shard: l.shard, Lane: l.shard,
-				Reason: err.Error()})
-			return err
-		}
-		err := l.d.Reseed(seed, nil)
-		zeroize(seed)
-		if err != nil {
-			l.failures.Add(1)
-			d.reseedFails.Add(1)
-			d.pool.emit(obs.Event{Type: obs.TypeDRBGReseedFail, Shard: l.shard, Lane: l.shard,
-				Reason: err.Error()})
-			return err
-		}
-		d.reseeds.Add(1)
-		l.reseeds.Add(1)
-		d.pool.emit(obs.Event{Type: obs.TypeDRBGReseed, Shard: l.shard, Lane: l.shard})
+// the lane produces nothing and its block is left empty.
+func (d *DRBGPool) fillLane(l *drbgLane, pr bool, wait time.Duration) error {
+	l.buf, l.pos = l.buf[:0], 0
+	if err := d.seedLane(l, pr, wait); err != nil {
+		l.failures.Add(1)
+		d.reseedFails.Add(1)
+		d.pool.emit(obs.Event{Type: obs.TypeDRBGReseedFail, Shard: l.shard, Lane: l.shard,
+			Reason: err.Error()})
+		return err
 	}
-	if err := l.d.Generate(dst, nil); err != nil {
-		// ErrReseedRequired cannot normally reach here (the interval
-		// check above reseeds first); fail the lane closed regardless.
-		l.counter.Store(l.d.ReseedCounter())
+	block := l.buf[:d.cfg.BlockBytes]
+	err := l.d.Generate(block, nil)
+	l.counter.Store(l.d.ReseedCounter())
+	if err != nil {
+		// ErrReseedRequired cannot normally reach here (seedLane
+		// reseeds first); fail the lane closed regardless.
 		l.failures.Add(1)
 		d.reseedFails.Add(1)
 		return err
 	}
-	l.counter.Store(l.d.ReseedCounter())
+	l.buf = block
 	d.generates.Add(1)
 	l.generates.Add(1)
 	return nil
 }
 
-// fillLane refreshes the lane's current block in place (the
-// synchronous path: single-block requests, pr rounds, and retry after
-// a worker failure).
-func (d *DRBGPool) fillLane(l *drbgLane, pr bool, wait time.Duration) error {
-	l.buf = l.buf[:d.cfg.BlockBytes]
-	if err := d.fillInto(l, l.buf, pr, wait); err != nil {
-		l.buf, l.pos = l.buf[:0], 0
+// seedLane instantiates the lane's DRBG on first use and reseeds it
+// when its interval is exhausted or pr demands fresh entropy.
+func (d *DRBGPool) seedLane(l *drbgLane, pr bool, wait time.Duration) error {
+	if l.d == nil {
+		return d.instantiate(l, wait)
+	}
+	if !pr && l.d.ReseedCounter() <= d.cfg.ReseedInterval {
+		return nil
+	}
+	seed := make([]byte, l.d.ReseedLen())
+	defer zeroize(seed)
+	if err := d.src.Seed(seed, l.shard, wait); err != nil {
 		return err
 	}
-	l.pos = 0
+	if err := l.d.Reseed(seed, nil); err != nil {
+		return err
+	}
+	d.reseeds.Add(1)
+	l.reseeds.Add(1)
+	d.pool.emit(obs.Event{Type: obs.TypeDRBGReseed, Shard: l.shard, Lane: l.shard})
 	return nil
-}
-
-// dispatch computes, from the round-robin schedule, how many fresh
-// blocks each lane must produce for an n-byte request beyond what its
-// queue already holds, and starts lane workers for that demand.
-// Single-block requests (and single-lane pools) stay on the purely
-// synchronous path: no goroutines, no queue traffic.
-func (d *DRBGPool) dispatch(n int) {
-	if len(d.lanes) < 2 {
-		return
-	}
-	cur := d.lanes[d.rr]
-	need := n - (len(cur.buf) - cur.pos)
-	if need <= 0 {
-		return
-	}
-	blocks := (need + d.cfg.BlockBytes - 1) / d.cfg.BlockBytes
-	if blocks < 2 {
-		return
-	}
-	// The lane serving the first FRESH block: the cursor lane itself
-	// when its buffer is spent, otherwise its successor (the rotation
-	// advances off the cursor lane once its remainder is consumed).
-	first := d.rr
-	if cur.pos < len(cur.buf) {
-		first = (d.rr + 1) % len(d.lanes)
-	}
-	for k := 0; k < len(d.lanes) && k < blocks; k++ {
-		l := d.lanes[(first+k)%len(d.lanes)]
-		visits := (blocks - k + len(d.lanes) - 1) / len(d.lanes)
-		l.mu.Lock()
-		if fresh := visits - len(l.queue); fresh > 0 {
-			l.pending = fresh
-			if !l.working {
-				l.working = true
-				go d.laneWorker(l)
-			}
-			l.cond.Broadcast()
-		}
-		l.mu.Unlock()
-	}
-}
-
-// laneWorker produces the lane's dispatched demand into its queue,
-// blocking while the queue is at depth. It exits when the demand is
-// settled or on the first production failure (fail closed — the error
-// is parked for the rotation to consume; later visits retry
-// synchronously).
-func (d *DRBGPool) laneWorker(l *drbgLane) {
-	l.mu.Lock()
-	for {
-		for l.pending > 0 && len(l.queue) >= laneQueueDepth {
-			l.cond.Wait()
-		}
-		if l.pending == 0 {
-			break
-		}
-		var block []byte
-		if n := len(l.free); n > 0 {
-			block = l.free[n-1][:d.cfg.BlockBytes]
-			l.free = l.free[:n-1]
-		} else {
-			block = make([]byte, d.cfg.BlockBytes)
-		}
-		l.mu.Unlock()
-		err := d.fillInto(l, block, false, d.cfg.SeedWait)
-		l.mu.Lock()
-		if err != nil {
-			l.free = append(l.free, block[:0])
-			if l.err == nil {
-				l.err = err
-			}
-			l.pending = 0
-			break
-		}
-		l.queue = append(l.queue, block)
-		l.queuedN.Store(uint64(len(l.queue)))
-		if l.pending > 0 {
-			l.pending--
-		}
-		l.cond.Broadcast()
-	}
-	l.working = false
-	l.cond.Broadcast()
-	l.mu.Unlock()
-}
-
-// settle withdraws any unconsumed demand at the end of a request so
-// workers stop instead of producing blocks nobody asked for (demand
-// only outlives a request on failure-redistribution paths).
-func (d *DRBGPool) settle() {
-	for _, l := range d.lanes {
-		l.mu.Lock()
-		l.pending = 0
-		l.cond.Broadcast()
-		l.mu.Unlock()
-	}
-}
-
-// drainQuarantinedLocked discards the lane's queued blocks once per
-// shard quarantine event: output pre-generated before the alarm
-// tripped is suspect the same way raw tap bytes below the drain
-// watermark are, and is dropped unserved. The lane's DRBG keeps its
-// remaining reseed interval, exactly as in sequential rotation.
-// Caller holds l.mu.
-func (d *DRBGPool) drainQuarantinedLocked(l *drbgLane) {
-	q := d.pool.shards[l.shard].quarantines.Load()
-	if q == l.seenQuar {
-		return
-	}
-	l.seenQuar = q
-	if n := len(l.queue); n > 0 {
-		for _, b := range l.queue {
-			l.free = append(l.free, b[:0])
-		}
-		l.queue = l.queue[:0]
-		l.queuedN.Store(0)
-		l.drainedN.Add(uint64(n))
-		d.pool.emit(obs.Event{Type: obs.TypeDRBGDrain, Shard: l.shard, Lane: l.shard,
-			Value: float64(n), Reason: d.pool.shards[l.shard].LastReason().String()})
-		l.cond.Broadcast()
-	}
-}
-
-// ensureBlock hands the rotation the lane's next block: the queue head
-// when the pipeline produced one (FIFO — DRBG call order), a parked
-// worker error if production failed, or a synchronous fill when no
-// worker owes this lane anything.
-func (d *DRBGPool) ensureBlock(l *drbgLane, seedWait time.Duration) error {
-	l.mu.Lock()
-	for {
-		d.drainQuarantinedLocked(l)
-		if len(l.queue) > 0 {
-			block := l.queue[0]
-			l.queue = l.queue[1:]
-			l.queuedN.Store(uint64(len(l.queue)))
-			l.free = append(l.free, l.buf[:0])
-			l.buf, l.pos = block, 0
-			l.cond.Broadcast()
-			l.mu.Unlock()
-			return nil
-		}
-		if l.err != nil {
-			err := l.err
-			l.err = nil
-			l.mu.Unlock()
-			return err
-		}
-		if l.pending > 0 || l.working {
-			l.cond.Wait()
-			continue
-		}
-		l.mu.Unlock()
-		// Quiesced lane: the consumer owns the DRBG (no worker can
-		// start — dispatch happens only under the pool lock we hold).
-		return d.fillLane(l, false, seedWait)
-	}
-}
-
-// prReset quiesces the pipeline for a prediction-resistance round:
-// demand is withdrawn, in-flight workers are waited out, and queued
-// blocks plus buffered remainders are discarded — PR covers EVERY byte
-// of the request, so each served block must be generated after a fresh
-// reseed, synchronously.
-func (d *DRBGPool) prReset() {
-	for _, l := range d.lanes {
-		l.mu.Lock()
-		l.pending = 0
-		l.cond.Broadcast()
-		for l.working {
-			l.cond.Wait()
-		}
-		for _, b := range l.queue {
-			l.free = append(l.free, b[:0])
-		}
-		l.queue = l.queue[:0]
-		l.queuedN.Store(0)
-		l.err = nil
-		l.pos = len(l.buf)
-		l.mu.Unlock()
-	}
 }
 
 // Generate fills dst with DRBG output and returns the byte count.
@@ -491,23 +258,20 @@ func (d *DRBGPool) prReset() {
 // lane that cannot (re)seed is skipped for the round, and when every
 // lane fails in one rotation the call returns short with the last
 // lane's error (errors.Is(err, ErrSeedStarved) in the starved case —
-// the partial prefix of dst is valid output). Requests spanning two or
-// more blocks are produced by the per-lane worker pipeline and
-// stitched in rotation order; the served stream is bit-identical to
-// sequential production. With pr set, every lane reseeds with fresh
-// conditioned entropy immediately before each Generate block that
-// serves the request (SP 800-90A prediction resistance), at
-// raw-physics cost and strictly sequentially. wait bounds the total
-// time spent waiting on seed material on the synchronous path;
-// pipelined blocks bound each draw by Config.SeedWait instead.
+// the partial prefix of dst is valid output). With pr set, every lane
+// reseeds with fresh conditioned entropy immediately before each
+// Generate block that serves the request (SP 800-90A prediction
+// resistance), at raw-physics cost. wait bounds the total time spent
+// waiting on seed material.
 func (d *DRBGPool) Generate(dst []byte, pr bool, wait time.Duration) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if pr {
-		d.prReset()
-	} else {
-		d.dispatch(len(dst))
-		defer d.settle()
+		// PR covers EVERY byte of the request: buffered remainders were
+		// generated before this request's reseeds and are discarded.
+		for _, l := range d.lanes {
+			l.pos = len(l.buf)
+		}
 	}
 	deadline := time.Now().Add(wait)
 	n := 0
@@ -523,13 +287,7 @@ func (d *DRBGPool) Generate(dst []byte, pr bool, wait time.Duration) (int, error
 			if seedWait < 0 {
 				seedWait = 0
 			}
-			var err error
-			if pr {
-				err = d.fillLane(l, true, seedWait)
-			} else {
-				err = d.ensureBlock(l, seedWait)
-			}
-			if err != nil {
+			if err := d.fillLane(l, pr, seedWait); err != nil {
 				lastErr = err
 				d.rr = (d.rr + 1) % len(d.lanes)
 				if fails++; fails >= len(d.lanes) {
@@ -561,11 +319,6 @@ type DRBGLaneStatus struct {
 	Generates      uint64 `json:"generates"`
 	Reseeds        uint64 `json:"reseeds"`
 	ReseedFailures uint64 `json:"reseed_failures"`
-	// QueuedBlocks is the lane's current pipeline depth;
-	// DrainedBlocks counts pre-generated blocks discarded unserved by
-	// shard quarantines.
-	QueuedBlocks  uint64 `json:"queued_blocks"`
-	DrainedBlocks uint64 `json:"drained_blocks"`
 	// SeedRetryRounds counts seed-source backoff rounds on draws
 	// preferring this lane's shard: how often the heal path had to
 	// wait out an empty tap before reseeding.
@@ -617,8 +370,6 @@ func (d *DRBGPool) Stats() DRBGStats {
 			Generates:       l.generates.Load(),
 			Reseeds:         l.reseeds.Load(),
 			ReseedFailures:  l.failures.Load(),
-			QueuedBlocks:    l.queuedN.Load(),
-			DrainedBlocks:   l.drainedN.Load(),
 			SeedRetryRounds: d.src.RetryRounds(l.shard),
 		}
 	}

@@ -442,3 +442,59 @@ func TestDRBGServeMode(t *testing.T) {
 		t.Fatalf("generate with one shard quarantined: %d, %v", n, err)
 	}
 }
+
+// TestTappedPoolServesWithoutRing: a serving tapped pool has no raw
+// output path — ReadBuffered refuses it and no shard buffers bytes —
+// yet its producers keep the gates, the assessment and the tap
+// advancing, and a DRBGPool over it serves.
+func TestTappedPoolServesWithoutRing(t *testing.T) {
+	t.Parallel()
+	p, err := New(drbgTestConfig(2, 41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := p.Stats()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := p.Serve(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer p.Stop()
+	if _, err := p.ReadBuffered(make([]byte, 64), 10*time.Millisecond); err != ErrNotServing {
+		t.Fatalf("ReadBuffered on a tapped pool: %v, want ErrNotServing", err)
+	}
+	dp, err := p.DRBGPool(DRBGConfig{BlockBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	buf := make([]byte, 4096)
+	for {
+		n, err := dp.Generate(buf, false, 500*time.Millisecond)
+		if err == nil && n == len(buf) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("drbg output never became available: %d, %v", n, err)
+		}
+	}
+	for {
+		advanced := true
+		for i, sh := range p.Stats().Shards {
+			if sh.Buffered != 0 {
+				t.Fatalf("shard %d buffers %d raw bytes", i, sh.Buffered)
+			}
+			b := before.Shards[i]
+			if sh.RawBits <= b.RawBits || sh.TapBytes <= b.TapBytes || sh.AssessRuns <= b.AssessRuns {
+				advanced = false
+			}
+		}
+		if advanced {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("surveillance stalled: before %+v, now %+v", before.Shards, p.Stats().Shards)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

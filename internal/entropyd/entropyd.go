@@ -71,11 +71,16 @@
 //     function of (len(dst), healthy set), the output is bit-identical
 //     for every worker count (jobs = 1 vs NumCPU).
 //   - Read(p): io.Reader over Fill.
-//   - Serve/ReadBuffered: the daemon hot path (cmd/trngd). Each shard
-//     runs a producer goroutine that keeps a lock-light SPSC ring
-//     topped up; consumers drain the rings in the same round-robin
+//   - Serve/ReadBuffered: the daemon hot path (cmd/trngd raw mode).
+//     Each shard runs a producer goroutine that keeps a lock-light SPSC
+//     ring topped up; consumers drain the rings in the same round-robin
 //     block order, so in the healthy steady state the served stream
 //     equals the Fill stream of a twin pool.
+//
+// A pool with a seed tap (Config.SeedTapBytes > 0) serves DRBG output
+// through DRBGPool instead, never the raw stream: it has no output
+// rings, its serve-mode producers run the gates, surveillance and tap
+// and discard the gated bytes, and ReadBuffered refuses it.
 //
 // Quarantined shards heal automatically in serve mode (producer
 // goroutines recalibrate with backoff); in batch mode the caller
@@ -108,8 +113,9 @@ const fillBlock = 256
 var ErrStarved = errors.New("entropyd: all shards quarantined")
 
 // ErrNotServing is returned by ReadBuffered when the pool is not in
-// serve mode (never entered, or already stopped/cancelled) — for an
-// HTTP front end this is unavailability, not an internal error.
+// serve mode (never entered, or already stopped/cancelled) or has a
+// seed tap (it serves DRBG output, not the raw stream) — for an HTTP
+// front end this is unavailability, not an internal error.
 var ErrNotServing = errors.New("entropyd: pool is not serving")
 
 // HealthConfig parameterizes the per-shard embedded tests.
@@ -264,19 +270,20 @@ type Config struct {
 	Jobs int
 	// BufBytes is the per-shard serve-mode ring capacity (default
 	// 64 KiB, rounded up to a power of two, minimum one fill block).
+	// Tapped pools allocate no ring.
 	BufBytes int
 	// SeedTapBytes, when > 0, gives every shard a raw seed tap of this
 	// capacity (rounded up to a power of two): a passive mirror of the
 	// healthy-epoch raw bits, packed MSB-first, that SeedSource drains
 	// through a vetted conditioner into DRBG seed material. The tap
 	// never changes the output stream, but its contents are raw-stream
-	// material: a deployment must serve EITHER the raw stream OR
-	// DRBG output, never both from one pool (cmd/trngd's -mode switch
-	// enforces this). In serve mode a tapped pool also keeps producing
-	// (and discarding) raw bits while its output ring is full, so the
-	// embedded tests, assessments and the tap stay live without a raw
-	// consumer. Requires assessment (DisableAssess must be false):
-	// the assessed min-entropy is the seed accounting input.
+	// material, so a tapped pool serves DRBG output and never the raw
+	// stream: it has no output rings and ReadBuffered returns
+	// ErrNotServing. In serve mode its producers keep generating (and
+	// discarding) gated bytes, so the embedded tests, assessments and
+	// the tap stay live without a raw consumer. Requires assessment
+	// (DisableAssess must be false): the assessed min-entropy is the
+	// seed accounting input.
 	SeedTapBytes int
 
 	// Sink, when non-nil, receives the pool's observability events
@@ -398,10 +405,11 @@ func New(cfg Config) (*Pool, error) {
 			index: i,
 			pool:  p,
 			seed:  engine.DeriveSeed(cfg.Seed, uint64(i)),
-			ring:  newRing(cfg.BufBytes),
 		}
 		if cfg.SeedTapBytes > 0 {
 			p.shards[i].tap = newRing(cfg.SeedTapBytes)
+		} else {
+			p.shards[i].ring = newRing(cfg.BufBytes)
 		}
 	}
 	err := engine.Run(context.Background(), cfg.Shards, func(_ context.Context, i int) error {
@@ -424,7 +432,7 @@ func (p *Pool) emit(e obs.Event) {
 	}
 }
 
-// newSource dispatches to the configured source factory.
+// newSource calls the configured source factory.
 func (p *Pool) newSource(shard, epoch int, seed uint64) (RawSource, error) {
 	if p.cfg.NewSource != nil {
 		return p.cfg.NewSource(shard, epoch, seed)
@@ -432,7 +440,7 @@ func (p *Pool) newSource(shard, epoch int, seed uint64) (RawSource, error) {
 	return p.cfg.Source.newSource(seed)
 }
 
-// newMonitorPair dispatches to the configured monitor-pair factory.
+// newMonitorPair calls the configured monitor-pair factory.
 func (p *Pool) newMonitorPair(shard, epoch int, seed uint64) (*osc.Pair, error) {
 	if p.cfg.NewMonitorPair != nil {
 		return p.cfg.NewMonitorPair(shard, epoch, seed)
@@ -746,7 +754,8 @@ type ShardStatus struct {
 // Stats is a point-in-time snapshot of the pool. BytesServed counts
 // bytes delivered to consumers through any mode (Fill, Read,
 // ReadBuffered); the per-shard BytesOut counters additionally include
-// produced-but-undelivered bytes sitting in (or drained from) rings.
+// produced-but-undelivered bytes: sitting in or drained from rings, or
+// discarded by a tapped pool's producers.
 type Stats struct {
 	Shards      []ShardStatus `json:"shards"`
 	Healthy     int           `json:"healthy"`
@@ -775,7 +784,6 @@ func (p *Pool) Stats() Stats {
 			StartupFailures:  s.startupFails.Load(),
 			Quarantines:      s.quarantines.Load(),
 			DrainedBytes:     s.drainedBytes.Load(),
-			Buffered:         s.ring.buffered(),
 			AssessRuns:       s.assessRuns.Load(),
 			AssessAlarms:     s.assessAlarms.Load(),
 			AssessAgeSeconds: -1,
@@ -784,6 +792,9 @@ func (p *Pool) Stats() Stats {
 			TapBytes:         s.tapBytes.Load(),
 			TapDropped:       s.tapDropped.Load(),
 			SeedBytesUsed:    s.seedBytes.Load(),
+		}
+		if s.ring != nil {
+			st.Shards[i].Buffered = s.ring.buffered()
 		}
 		if a := s.LastAssessment(); a != nil {
 			st.Shards[i].AssessMinEntropy = a.Report.MinEntropy

@@ -20,7 +20,9 @@ const idlePoll = time.Millisecond
 // Serve switches the pool into daemon mode: one producer goroutine per
 // shard keeps the shard's ring topped up with gated bytes, quarantined
 // shards recalibrate themselves with backoff, and consumers drain the
-// rings through ReadBuffered. Serve returns immediately; production
+// rings through ReadBuffered. A tapped pool (Config.SeedTapBytes > 0)
+// has no rings: its producers run the gates, surveillance and seed tap
+// and discard the gated bytes. Serve returns immediately; production
 // stops — and the pool returns to batch mode — when ctx is cancelled
 // or Stop is called, whichever comes first.
 //
@@ -74,8 +76,9 @@ func (p *Pool) Stop() {
 	finish() // blocks until the (possibly concurrent) shutdown completed
 }
 
-// runShard is a shard's producer loop: keep the ring full while
-// healthy, recalibrate with backoff while quarantined.
+// runShard is a shard's producer loop: keep the ring full (or, on a
+// tapped pool, keep producing) while healthy, recalibrate with backoff
+// while quarantined.
 func (p *Pool) runShard(ctx context.Context, s *Shard) {
 	chunk := make([]byte, fillBlock)
 	for ctx.Err() == nil {
@@ -88,20 +91,17 @@ func (p *Pool) runShard(ctx context.Context, s *Shard) {
 				s.quarantine(ReasonInjected)
 				continue
 			}
+			if s.ring == nil {
+				// Surveillance duty (DRBG mode): nothing consumes the
+				// raw stream, but the embedded tests, the periodic
+				// assessment and the seed tap all live off fresh raw
+				// bits — the hardware analogue of a free-running
+				// source under continuous health monitoring.
+				s.produce(chunk)
+				continue
+			}
 			free := s.ring.free()
 			if free == 0 {
-				if s.tap != nil {
-					// Surveillance duty (DRBG mode): nothing drains
-					// the raw stream, but the embedded tests, the
-					// periodic assessment and the seed tap all live
-					// off fresh raw bits — the hardware analogue of a
-					// free-running source under continuous health
-					// monitoring. Produce a block and discard the
-					// gated bytes (the output ring is full; a tapped
-					// pool serves DRBG output, not the raw stream).
-					s.produce(chunk)
-					continue
-				}
 				if !sleepCtx(ctx, idlePoll) {
 					return
 				}
@@ -156,8 +156,11 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // mid-block (its ring was drained at quarantine), the rotation moves
 // on to the next healthy shard, which starts a fresh full block;
 // re-admitted shards rejoin the rotation at their next turn.
+//
+// A tapped pool serves DRBG output, never the raw stream: it has no
+// rings, and ReadBuffered returns ErrNotServing.
 func (p *Pool) ReadBuffered(dst []byte, wait time.Duration) (int, error) {
-	if !p.serving.Load() {
+	if !p.serving.Load() || p.cfg.SeedTapBytes > 0 {
 		return 0, ErrNotServing
 	}
 	if len(dst) == 0 {

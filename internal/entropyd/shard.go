@@ -122,11 +122,11 @@ const rawChunk = 512
 const maxDryChunks = 1024
 
 // Shard is one independent generator lane of a Pool: its own entropy
-// source, post-processing chain, embedded tests and output ring. The
-// mutable generation state (source, tests, bit buffers) is owned by
-// exactly one goroutine at a time — the engine task filling it, or its
-// producer goroutine in serve mode. Everything the rest of the system
-// reads (state, counters) is atomic.
+// source, post-processing chain, embedded tests and, on an untapped
+// pool, output ring. The mutable generation state (source, tests, bit
+// buffers) is owned by exactly one goroutine at a time — the engine
+// task filling it, or its producer goroutine in serve mode. Everything
+// the rest of the system reads (state, counters) is atomic.
 type Shard struct {
 	index int
 	pool  *Pool
@@ -163,7 +163,8 @@ type Shard struct {
 	// min-entropy.
 	alarmStat float64
 
-	// Serve-mode output buffer.
+	// Serve-mode output buffer; nil on a tapped pool, which serves
+	// DRBG output and never the raw stream.
 	ring *ring
 
 	// Raw seed tap (Config.SeedTapBytes > 0): a second SPSC ring the
@@ -425,7 +426,7 @@ func (s *Shard) recalibrate() bool {
 }
 
 // quarantine moves the shard out of service: records the reason,
-// discards gated-but-unpacked bits and asks the ring to drop
+// discards gated-but-unpacked bits and asks the ring (if any) to drop
 // everything undelivered ("drain").
 func (s *Shard) quarantine(r Reason) {
 	s.reason.Store(int32(r))

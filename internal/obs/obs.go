@@ -18,7 +18,7 @@
 //     watermark mid-window; Value = the live suite minimum), quarantine
 //     (with the reason and drained byte count), recalibrate, heal;
 //   - DRBG lanes: drbg-instantiate, drbg-reseed, drbg-reseed-fail,
-//     drbg-fail-closed, drbg-drain (Value = blocks discarded unserved);
+//     drbg-fail-closed;
 //   - seed source: seed-draw (Value = vetted output-entropy credit in
 //     bits, Shard/Epoch = the tap that supplied the raw material);
 //   - daemon: request-shed (bounded queue full), starvation-abort
@@ -91,9 +91,6 @@ const (
 	// expansion layer refused the request (Value = bytes served before
 	// failing).
 	TypeDRBGFailClosed Type = "drbg-fail-closed"
-	// TypeDRBGDrain: a shard quarantine discarded the lane's queued
-	// pre-generated blocks unserved (Value = block count).
-	TypeDRBGDrain Type = "drbg-drain"
 	// TypeSeedDraw: the seed source emitted one conditioned block
 	// (Shard/Epoch = the supplying tap, Value = vetted output-entropy
 	// credit in bits).

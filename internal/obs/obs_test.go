@@ -332,7 +332,7 @@ func TestLevelMapping(t *testing.T) {
 			t.Errorf("%s should be Debug", ty)
 		}
 	}
-	for _, ty := range []Type{TypeStartupPass, TypeRecalibrate, TypeHeal, TypeDRBGInstantiate, TypeDRBGDrain, TypeInjectionMarker} {
+	for _, ty := range []Type{TypeStartupPass, TypeRecalibrate, TypeHeal, TypeDRBGInstantiate, TypeInjectionMarker} {
 		if Level(ty) != slog.LevelInfo {
 			t.Errorf("%s should be Info", ty)
 		}

@@ -179,7 +179,7 @@ func (o *Oscillator) Index() uint64 { return o.index }
 
 // NextPeriods fills dst with the next len(dst) consecutive period
 // durations and returns dst. It is the chunked form of NextPeriod: one
-// call amortizes the per-period method dispatch and state write-back
+// call amortizes the per-period method call and state write-back
 // over the whole chunk, which is what makes the campaign workers' hot
 // loops fast. The emitted sequence is bit-identical to len(dst)
 // successive NextPeriod calls.

@@ -212,7 +212,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -644,298 +643,6 @@ func (s *server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
-}
-
-// handleMetrics is GET /metrics (Prometheus text format 0.0.4). Every
-// family carries HELP and TYPE; internal/obs.LintProm holds the output
-// to the format spec in tests and CI.
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := s.pool.Stats()
-	up := time.Since(s.start).Seconds()
-	served := s.served.Load()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	family := func(name, typ, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-		fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
-	}
-	// histB renders a loadstat snapshot as one labeled series of a
-	// Prometheus histogram family over the given bucket ladder. labels
-	// is the rendered label list without braces ("" for none); le is
-	// appended. hist is the request-latency-scale shorthand.
-	histB := func(name, labels string, snap *loadstat.Snapshot, bounds []promBound) {
-		sep := ""
-		if labels != "" {
-			sep = ","
-		}
-		for _, b := range bounds {
-			fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, b.label, snap.CountBelow(b.d))
-		}
-		fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, snap.Count())
-		if labels != "" {
-			fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, snap.Sum().Seconds())
-			fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, snap.Count())
-		} else {
-			fmt.Fprintf(w, "%s_sum %g\n", name, snap.Sum().Seconds())
-			fmt.Fprintf(w, "%s_count %d\n", name, snap.Count())
-		}
-	}
-	hist := func(name, labels string, snap *loadstat.Snapshot) {
-		histB(name, labels, snap, latencyBounds)
-	}
-	family("trngd_build_info", "gauge", "Build identity (constant 1; the facts are in the labels).")
-	fmt.Fprintf(w, "trngd_build_info{go_version=%q,revision=%q} 1\n", s.goVersion, s.revision)
-	family("trngd_uptime_seconds", "gauge", "Daemon uptime.")
-	fmt.Fprintf(w, "trngd_uptime_seconds %g\n", up)
-	family("trngd_requests_total", "counter", "/random requests received.")
-	fmt.Fprintf(w, "trngd_requests_total %d\n", s.requests.Load())
-	family("trngd_requests_rejected_total", "counter", "Requests rejected by the bounded queue.")
-	fmt.Fprintf(w, "trngd_requests_rejected_total %d\n", s.rejected.Load())
-	family("trngd_requests_starved_total", "counter", "Requests failed on pool starvation.")
-	fmt.Fprintf(w, "trngd_requests_starved_total %d\n", s.starved.Load())
-	family("trngd_bytes_served_total", "counter", "Random bytes delivered.")
-	fmt.Fprintf(w, "trngd_bytes_served_total %d\n", served)
-	family("trngd_throughput_bytes_per_second", "gauge", "Mean delivery rate since start.")
-	fmt.Fprintf(w, "trngd_throughput_bytes_per_second %g\n", float64(served)/math.Max(up, 1e-9))
-	// Runtime health of the daemon process itself.
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	family("trngd_goroutines", "gauge", "Live goroutines.")
-	fmt.Fprintf(w, "trngd_goroutines %d\n", runtime.NumGoroutine())
-	family("trngd_gc_pause_seconds_total", "counter", "Cumulative stop-the-world GC pause time.")
-	fmt.Fprintf(w, "trngd_gc_pause_seconds_total %g\n", float64(ms.PauseTotalNs)/1e9)
-	family("trngd_gc_runs_total", "counter", "Completed GC cycles.")
-	fmt.Fprintf(w, "trngd_gc_runs_total %d\n", ms.NumGC)
-	family("trngd_heap_alloc_bytes", "gauge", "Live heap bytes.")
-	fmt.Fprintf(w, "trngd_heap_alloc_bytes %d\n", ms.HeapAlloc)
-	family("trngd_heap_sys_bytes", "gauge", "Heap bytes obtained from the OS.")
-	fmt.Fprintf(w, "trngd_heap_sys_bytes %d\n", ms.HeapSys)
-	// /random service latency, downsampled from the loadstat histogram
-	// to Prometheus cumulative le-buckets. The same histogram type backs
-	// cmd/loadgen, so the in-process view and an external load run are
-	// directly comparable.
-	mode := s.mode()
-	family("trngd_request_duration_seconds", "histogram", "/random service latency.")
-	hist("trngd_request_duration_seconds", fmt.Sprintf("mode=%q", mode), s.lat.Snapshot())
-	// The same latency split into phases: queue-wait (acquiring a queue
-	// slot), lane-generate (pool/DRBG byte production) and
-	// response-write (flushing to the client). Only requests that
-	// entered the queue are phased, so the three series share a count.
-	family("trngd_request_phase_duration_seconds", "histogram", "/random service latency by request phase.")
-	for _, ph := range []struct {
-		name string
-		h    *loadstat.Histogram
-	}{
-		{"queue-wait", s.latQueue},
-		{"lane-generate", s.latGen},
-		{"response-write", s.latWrite},
-	} {
-		hist("trngd_request_phase_duration_seconds",
-			fmt.Sprintf("mode=%q,phase=%q", mode, ph.name), ph.h.Snapshot())
-	}
-	// Flight-recorder journal.
-	if j := s.cfg.journal; j != nil {
-		family("trngd_journal_events_total", "counter", "Events recorded by the flight-recorder journal.")
-		fmt.Fprintf(w, "trngd_journal_events_total %d\n", j.LastSeq())
-		family("trngd_journal_capacity_events", "gauge", "Journal ring capacity (older events are overwritten).")
-		fmt.Fprintf(w, "trngd_journal_capacity_events %d\n", j.Capacity())
-		family("trngd_journal_dropped_total", "counter", "Journal events lost to ring overwrite before an /events reader saw them (sums the dropped counts of every page served).")
-		fmt.Fprintf(w, "trngd_journal_dropped_total %d\n", s.dropped.Load())
-	}
-	// Fleet incident correlation: incidents opened by class, the open
-	// set, resolved blast radii, MTTD/MTTR and the per-shard detection
-	// latencies. Incident class series render even at zero so
-	// dashboards and CI can assert their presence; a
-	// single-shard→correlated upgrade moves one count between the class
-	// labels (the sum stays monotonic).
-	if eng := s.cfg.incidents; eng != nil {
-		ist := eng.Stats()
-		if lats := ist.Detection; len(lats) > 0 {
-			classes := make([]string, 0, len(lats))
-			for c := range lats {
-				classes = append(classes, c)
-			}
-			sort.Strings(classes)
-			family("trngd_shard_detection_latency_seconds", "histogram",
-				"Injection-marker to quarantine latency per alarm class.")
-			for _, c := range classes {
-				hist("trngd_shard_detection_latency_seconds", fmt.Sprintf("class=%q", c), lats[c])
-			}
-		}
-		family("trngd_incidents_total", "counter", "Incidents opened by the correlation engine, labeled by current class.")
-		for _, c := range incident.Classes {
-			fmt.Fprintf(w, "trngd_incidents_total{class=%q} %d\n", c, ist.Totals[c])
-		}
-		family("trngd_incidents_open", "gauge", "Currently open (unresolved) incidents.")
-		fmt.Fprintf(w, "trngd_incidents_open %d\n", ist.Open)
-		family("trngd_incident_blast_radius", "histogram", "Distinct shards per resolved incident.")
-		cum := uint64(0)
-		for i, b := range incident.BlastBounds {
-			cum += ist.BlastBuckets[i]
-			fmt.Fprintf(w, "trngd_incident_blast_radius_bucket{le=\"%d\"} %d\n", b, cum)
-		}
-		fmt.Fprintf(w, "trngd_incident_blast_radius_bucket{le=\"+Inf\"} %d\n", ist.BlastCount)
-		fmt.Fprintf(w, "trngd_incident_blast_radius_sum %g\n", ist.BlastSum)
-		fmt.Fprintf(w, "trngd_incident_blast_radius_count %d\n", ist.BlastCount)
-		mtt := func(name, help string, byClass map[string]*loadstat.Snapshot) {
-			family(name, "histogram", help)
-			for _, c := range incident.Classes {
-				snap := byClass[c]
-				if snap == nil {
-					snap = loadstat.New().Snapshot() // render the ladder at zero
-				}
-				histB(name, fmt.Sprintf("class=%q", c), snap, incidentBounds)
-			}
-		}
-		mtt("trngd_incident_mttd_seconds", "Incident detection time: injection marker to first alarm, per class.", ist.MTTD)
-		mtt("trngd_incident_mttr_seconds", "Incident recovery time: opened to all member shards healed, per class.", ist.MTTR)
-	}
-	family("trngd_shards_healthy", "gauge", "Healthy shard count.")
-	fmt.Fprintf(w, "trngd_shards_healthy %d\n", st.Healthy)
-	family("trngd_shard_state", "gauge", "Shard state (0 startup, 1 healthy, 2 quarantined).")
-	for _, sh := range st.Shards {
-		state := 0
-		switch sh.State {
-		case "healthy":
-			state = 1
-		case "quarantined":
-			state = 2
-		}
-		fmt.Fprintf(w, "trngd_shard_state{shard=\"%d\"} %d\n", sh.Index, state)
-	}
-	emit := func(name, help string, value func(entropyd.ShardStatus) uint64) {
-		family(name, "counter", help)
-		for _, sh := range st.Shards {
-			fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", name, sh.Index, value(sh))
-		}
-	}
-	emit("trngd_shard_bytes_total", "Gated bytes produced.", func(sh entropyd.ShardStatus) uint64 { return sh.BytesOut })
-	emit("trngd_shard_raw_bits_total", "Raw (das) bits consumed.", func(sh entropyd.ShardStatus) uint64 { return sh.RawBits })
-	emit("trngd_shard_tot_alarms_total", "Total-failure test alarms.", func(sh entropyd.ShardStatus) uint64 { return sh.TotAlarms })
-	emit("trngd_shard_thermal_low_alarms_total", "Thermal monitor low-side alarms.", func(sh entropyd.ShardStatus) uint64 { return sh.MonitorLow })
-	emit("trngd_shard_thermal_high_alarms_total", "Thermal monitor high-side alarms.", func(sh entropyd.ShardStatus) uint64 { return sh.MonitorHigh })
-	emit("trngd_shard_startup_failures_total", "Startup test failures.", func(sh entropyd.ShardStatus) uint64 { return sh.StartupFailures })
-	emit("trngd_shard_quarantines_total", "Quarantine events.", func(sh entropyd.ShardStatus) uint64 { return sh.Quarantines })
-	emit("trngd_shard_drained_bytes_total", "Bytes discarded by quarantine drains.", func(sh entropyd.ShardStatus) uint64 { return sh.DrainedBytes })
-	emit("trngd_shard_assess_runs_total", "Completed SP 800-90B raw-bit assessments.", func(sh entropyd.ShardStatus) uint64 { return sh.AssessRuns })
-	emit("trngd_shard_assess_alarms_total", "Low-entropy quarantines raised by the assessment.", func(sh entropyd.ShardStatus) uint64 { return sh.AssessAlarms })
-	family("trngd_shard_assess_min_entropy", "gauge", "Latest assessed suite min-entropy (bits per raw bit).")
-	for _, sh := range st.Shards {
-		if sh.AssessRuns > 0 {
-			fmt.Fprintf(w, "trngd_shard_assess_min_entropy{shard=\"%d\"} %g\n", sh.Index, sh.AssessMinEntropy)
-		}
-	}
-	// The age gauge only makes sense for a serving shard: a quarantined
-	// shard is not collecting toward its next assessment, so its "age"
-	// would grow without bound and trip staleness alerts on a shard that
-	// is already benched. The sample is dropped until the shard heals.
-	family("trngd_shard_assess_age_seconds", "gauge", "Wall-clock age of the latest assessment (healthy shards only; dropped while quarantined).")
-	for _, sh := range st.Shards {
-		if sh.AssessRuns > 0 && sh.State == "healthy" {
-			fmt.Fprintf(w, "trngd_shard_assess_age_seconds{shard=\"%d\"} %g\n", sh.Index, sh.AssessAgeSeconds)
-		}
-	}
-	// Streaming surveillance: live sliding-window estimates, watermark
-	// quarantines, and the measured per-raw-bit tracker cost.
-	emit("trngd_shard_live_alarms_total", "Mid-window watermark quarantines raised by streaming surveillance.", func(sh entropyd.ShardStatus) uint64 { return sh.LiveAlarms })
-	family("trngd_shard_live_min_entropy", "gauge", "Live sliding-window min-entropy (bits per raw bit) per estimator; estimator=\"suite\" is the per-shard minimum.")
-	for _, sh := range st.Shards {
-		a := s.pool.Shard(sh.Index).LiveAssessment()
-		if a == nil {
-			continue
-		}
-		for _, e := range a.Report.Estimates {
-			fmt.Fprintf(w, "trngd_shard_live_min_entropy{shard=\"%d\",estimator=%q} %g\n", sh.Index, e.Name, e.MinEntropy)
-		}
-		fmt.Fprintf(w, "trngd_shard_live_min_entropy{shard=\"%d\",estimator=\"suite\"} %g\n", sh.Index, a.Report.MinEntropy)
-	}
-	family("trngd_shard_live_age_seconds", "gauge", "Wall-clock age of the live streaming report (healthy shards with a full window only).")
-	for _, sh := range st.Shards {
-		if sh.LiveAgeSeconds >= 0 && sh.State == "healthy" {
-			fmt.Fprintf(w, "trngd_shard_live_age_seconds{shard=\"%d\"} %g\n", sh.Index, sh.LiveAgeSeconds)
-		}
-	}
-	family("trngd_shard_stream_cost_seconds", "histogram", "Streaming surveillance cost per raw bit (one sample per gated chunk).")
-	for _, sh := range st.Shards {
-		if snap := s.pool.Shard(sh.Index).StreamCost(); snap != nil && snap.Count() > 0 {
-			histB("trngd_shard_stream_cost_seconds", fmt.Sprintf("shard=\"%d\"", sh.Index), snap, streamCostBounds)
-		}
-	}
-	if s.drbg == nil {
-		return
-	}
-	d := s.drbg.Stats()
-	family("trngd_drbg_generates_total", "counter", fmt.Sprintf("DRBG output blocks generated (%d bytes each).", d.BlockBytes))
-	fmt.Fprintf(w, "trngd_drbg_generates_total %d\n", d.Generates)
-	family("trngd_drbg_reseeds_total", "counter", "Successful DRBG seeding events (instantiations included).")
-	fmt.Fprintf(w, "trngd_drbg_reseeds_total %d\n", d.Reseeds)
-	family("trngd_drbg_reseed_failures_total", "counter", "Failed DRBG seeding events (lane failed closed for the turn).")
-	fmt.Fprintf(w, "trngd_drbg_reseed_failures_total %d\n", d.ReseedFailures)
-	family("trngd_drbg_seed_draws_total", "counter", "Full-entropy conditioner blocks drawn from shard taps.")
-	fmt.Fprintf(w, "trngd_drbg_seed_draws_total %d\n", d.SeedDraws)
-	family("trngd_drbg_seed_starves_total", "counter", "Seed draws that timed out with no eligible shard.")
-	fmt.Fprintf(w, "trngd_drbg_seed_starves_total %d\n", d.SeedStarves)
-	family("trngd_drbg_lane_reseed_counter", "gauge", "Generate calls since the lane's last seed (SP 800-90A reseed_counter).")
-	for _, l := range d.Lanes {
-		if l.Instantiated {
-			fmt.Fprintf(w, "trngd_drbg_lane_reseed_counter{lane=\"%d\"} %d\n", l.Shard, l.ReseedCounter)
-		}
-	}
-}
-
-// promBound is one le-bucket upper bound: the rendered label and the
-// duration it translates to against loadstat.Snapshot.CountBelow.
-type promBound struct {
-	label string
-	d     time.Duration
-}
-
-// latencyBounds are the Prometheus le-bucket upper bounds for the
-// request-duration histograms: a log-spaced ladder from fast in-memory
-// serves to the -wait deadline region.
-var latencyBounds = []promBound{
-	{"0.0001", 100 * time.Microsecond},
-	{"0.0005", 500 * time.Microsecond},
-	{"0.001", time.Millisecond},
-	{"0.005", 5 * time.Millisecond},
-	{"0.01", 10 * time.Millisecond},
-	{"0.05", 50 * time.Millisecond},
-	{"0.1", 100 * time.Millisecond},
-	{"0.5", 500 * time.Millisecond},
-	{"1", time.Second},
-	{"5", 5 * time.Second},
-	{"10", 10 * time.Second},
-}
-
-// incidentBounds are the le-bucket bounds for incident MTTD/MTTR:
-// sub-second detections through multi-minute recoveries (recalibration
-// takes startup-test time, so recovery lives in the tens of seconds).
-var incidentBounds = []promBound{
-	{"0.1", 100 * time.Millisecond},
-	{"0.5", 500 * time.Millisecond},
-	{"1", time.Second},
-	{"5", 5 * time.Second},
-	{"15", 15 * time.Second},
-	{"30", 30 * time.Second},
-	{"60", time.Minute},
-	{"300", 5 * time.Minute},
-	{"900", 15 * time.Minute},
-}
-
-// streamCostBounds are the le-bucket bounds for the per-raw-bit
-// streaming surveillance cost: a nanosecond-scale ladder (the tracker
-// costs single-digit microseconds per bit), three decades below the
-// request-latency ladder's first bucket.
-var streamCostBounds = []promBound{
-	{"1e-07", 100 * time.Nanosecond},
-	{"2.5e-07", 250 * time.Nanosecond},
-	{"5e-07", 500 * time.Nanosecond},
-	{"1e-06", time.Microsecond},
-	{"2.5e-06", 2500 * time.Nanosecond},
-	{"5e-06", 5 * time.Microsecond},
-	{"1e-05", 10 * time.Microsecond},
-	{"2.5e-05", 25 * time.Microsecond},
-	{"5e-05", 50 * time.Microsecond},
-	{"0.0001", 100 * time.Microsecond},
 }
 
 // handleEvents is GET /events[?since=SEQ&shard=I&lane=I&type=T&limit=N]:

@@ -199,583 +199,23 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"math"
 	"net/http"
-	"net/http/pprof"
-	"net/url"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/debug"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"repro/internal/conditioner"
 	"repro/internal/core"
 	"repro/internal/entropyd"
-	"repro/internal/loadstat"
 	"repro/internal/obs"
 	"repro/internal/obs/incident"
 	"repro/internal/profiling"
 )
-
-// serverConfig carries the HTTP-layer knobs into newServer. The zero
-// value of the optional fields (journal, sink, pprof) disables them.
-type serverConfig struct {
-	queue     int
-	maxBytes  int
-	wait      time.Duration
-	admin     bool
-	pprof     bool             // mount /debug/pprof on the serving mux
-	journal   *obs.Journal     // /events source; nil disables
-	sink      obs.Sink         // daemon-event emission (shed, starvation abort)
-	incidents *incident.Engine // /incidents + detection-latency source; nil disables
-}
-
-// server wraps the pool with HTTP concerns: the bounded in-flight
-// queue, request accounting and the endpoint handlers. drbg is non-nil
-// in DRBG mode and selects the expansion-layer serving path.
-type server struct {
-	pool  *entropyd.Pool
-	drbg  *entropyd.DRBGPool
-	sem   chan struct{} // bounded request queue
-	cfg   serverConfig
-	start time.Time
-	lat   *loadstat.Histogram // /random service latency
-	// Request-phase histograms: the service latency split into where
-	// the time went — waiting for a queue slot, generating bytes, and
-	// writing the response to the client.
-	latQueue *loadstat.Histogram
-	latGen   *loadstat.Histogram
-	latWrite *loadstat.Histogram
-	// Build identity, resolved once (debug.ReadBuildInfo walks the
-	// whole module graph).
-	goVersion string
-	revision  string
-
-	requests atomic.Uint64
-	rejected atomic.Uint64 // queue-full rejections
-	starved  atomic.Uint64 // deadline starvations
-	served   atomic.Uint64 // bytes delivered
-	dropped  atomic.Uint64 // journal events lost to overwrite, as observed by /events readers
-}
-
-// newServer assembles the handler set (split out for httptest); dp is
-// nil in raw mode.
-func newServer(pool *entropyd.Pool, dp *entropyd.DRBGPool, cfg serverConfig) *server {
-	s := &server{
-		pool:     pool,
-		drbg:     dp,
-		sem:      make(chan struct{}, cfg.queue),
-		cfg:      cfg,
-		start:    time.Now(),
-		lat:      loadstat.New(),
-		latQueue: loadstat.New(),
-		latGen:   loadstat.New(),
-		latWrite: loadstat.New(),
-	}
-	s.goVersion, s.revision = buildIdentity()
-	return s
-}
-
-// buildIdentity reads the binary's go version and VCS revision for the
-// trngd_build_info gauge.
-func buildIdentity() (goVersion, revision string) {
-	goVersion, revision = runtime.Version(), "unknown"
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		if bi.GoVersion != "" {
-			goVersion = bi.GoVersion
-		}
-		for _, kv := range bi.Settings {
-			if kv.Key == "vcs.revision" {
-				revision = kv.Value
-			}
-		}
-	}
-	return goVersion, revision
-}
-
-// emit forwards a daemon event to the configured sink (nil-safe).
-func (s *server) emit(e obs.Event) {
-	if s.cfg.sink != nil {
-		s.cfg.sink.Emit(e)
-	}
-}
-
-// chunkBytes is the pooled response-buffer size: larger requests
-// stream in chunkBytes slices instead of holding an n-byte buffer per
-// request for the whole service time.
-const chunkBytes = 64 << 10
-
-// respBuf is a pooled response buffer plus a per-size header cache.
-// Together they make the steady-state request path allocation-free:
-// the buffer replaces the per-request make([]byte, n), and repeated
-// requests for the same n reuse the rendered Content-Length value.
-type respBuf struct {
-	buf   [chunkBytes]byte
-	lastN int
-	cl    []string
-}
-
-var respBufs = sync.Pool{New: func() any { return new(respBuf) }}
-
-// contentLength returns a cached Content-Length header value for n.
-func (rb *respBuf) contentLength(n int) []string {
-	if rb.cl == nil || rb.lastN != n {
-		rb.cl = []string{strconv.Itoa(n)}
-		rb.lastN = n
-	}
-	return rb.cl
-}
-
-// ctOctet is the shared Content-Type header value, assigned directly
-// into the header map (http.Header.Set would allocate a fresh
-// one-element slice per request).
-var ctOctet = []string{"application/octet-stream"}
-
-// queryParam extracts key's value from a raw query string without
-// allocating (r.URL.Query() builds a url.Values map per call). It
-// agrees with url.ParseQuery(raw).Get/Has on every query ParseQuery
-// accepts. Escaped keys and values fall back to url.QueryUnescape;
-// /random's parameters are plain integers and booleans, so a
-// well-formed client never leaves the fast path.
-func queryParam(raw, key string) (string, bool) {
-	for len(raw) > 0 {
-		var kv string
-		kv, raw, _ = strings.Cut(raw, "&")
-		if kv == "" {
-			continue
-		}
-		k, v, _ := strings.Cut(kv, "=")
-		if strings.ContainsAny(k, "%+") {
-			u, err := url.QueryUnescape(k)
-			if err != nil {
-				continue
-			}
-			k = u
-		}
-		if k != key {
-			continue
-		}
-		if strings.ContainsAny(v, "%+") {
-			if u, err := url.QueryUnescape(v); err == nil {
-				return u, true
-			}
-		}
-		return v, true
-	}
-	return "", false
-}
-
-// mode names the serving mode.
-func (s *server) mode() string {
-	if s.drbg != nil {
-		return "drbg"
-	}
-	return "raw"
-}
-
-// handler builds the route table.
-func (s *server) handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/random", s.handleRandom)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/assess", s.handleAssess)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/events", s.handleEvents)
-	mux.HandleFunc("/incidents", s.handleIncidents)
-	if s.cfg.admin {
-		mux.HandleFunc("/quarantine", s.handleQuarantine)
-	}
-	if s.cfg.pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	return mux
-}
-
-// generate fills dst from the serving path of the active mode. A nil
-// error with a short count is starvation (unavailability); a non-nil
-// error is an internal fault.
-func (s *server) generate(dst []byte, pr bool) (int, error) {
-	if s.drbg != nil {
-		// DRBG mode: expansion-layer output. A short count means no
-		// lane could (re)seed in time — every shard quarantined,
-		// unassessed, or the tap starved. Fail closed.
-		got, err := s.drbg.Generate(dst, pr, s.cfg.wait)
-		if err != nil && !errors.Is(err, entropyd.ErrSeedStarved) {
-			return got, err
-		}
-		return got, nil
-	}
-	// Raw mode: ReadBuffered waits out the deadline internally; a
-	// short return means the healthy shards could not produce the
-	// bytes in time (or none are healthy). The partial bytes are
-	// dropped.
-	got, err := s.pool.ReadBuffered(dst, s.cfg.wait)
-	if err != nil && !errors.Is(err, entropyd.ErrStarved) && !errors.Is(err, entropyd.ErrNotServing) {
-		return got, err
-	}
-	return got, nil
-}
-
-// handleRandom is GET /random?bytes=N: the zero-allocation hot path.
-// Responses are produced into pooled chunkBytes buffers and streamed,
-// so a 1 MiB request never holds a 1 MiB allocation and steady-state
-// requests allocate nothing at all.
-func (s *server) handleRandom(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	t0 := time.Now()
-	// Phase accumulators for the request-phase histograms. Recorded in
-	// one defer (still allocation-free: the deferred closure is
-	// open-coded) and only for requests that entered the queue, so the
-	// three phases always have equal counts.
-	var queueDur, genDur, writeDur time.Duration
-	entered := false
-	defer func() {
-		s.lat.Record(time.Since(t0))
-		if entered {
-			s.latQueue.Record(queueDur)
-			s.latGen.Record(genDur)
-			s.latWrite.Record(writeDur)
-		}
-	}()
-	s.requests.Add(1)
-	n := 32
-	if q, ok := queryParam(r.URL.RawQuery, "bytes"); ok && q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 {
-			http.Error(w, "bytes must be a positive integer", http.StatusBadRequest)
-			return
-		}
-		n = v
-	}
-	if n > s.cfg.maxBytes {
-		http.Error(w, fmt.Sprintf("bytes exceeds limit %d", s.cfg.maxBytes), http.StatusBadRequest)
-		return
-	}
-	pr := false
-	if q, ok := queryParam(r.URL.RawQuery, "pr"); ok && q != "" {
-		v, err := strconv.ParseBool(q)
-		if err != nil {
-			http.Error(w, "pr must be a boolean", http.StatusBadRequest)
-			return
-		}
-		if v && s.drbg == nil {
-			http.Error(w, "prediction resistance requires -mode drbg", http.StatusBadRequest)
-			return
-		}
-		pr = v
-	}
-	// Bounded queue: reject instead of queueing unboundedly.
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	default:
-		s.rejected.Add(1)
-		s.emit(obs.Event{Type: obs.TypeRequestShed, Shard: obs.Any, Lane: obs.Any,
-			Value: float64(n), Reason: "queue full"})
-		http.Error(w, "request queue full", http.StatusServiceUnavailable)
-		return
-	}
-	queueDur = time.Since(t0)
-	entered = true
-	rb := respBufs.Get().(*respBuf)
-	defer respBufs.Put(rb)
-	for written := 0; written < n; {
-		c := n - written
-		if c > chunkBytes {
-			c = chunkBytes
-		}
-		chunk := rb.buf[:c]
-		g0 := time.Now()
-		got, err := s.generate(chunk, pr)
-		genDur += time.Since(g0)
-		if err != nil && written == 0 {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if err == nil && got < c {
-			// Starved or shutting down: the pool could not produce the
-			// bytes in time — unavailability, not an error.
-			s.starved.Add(1)
-			s.emit(obs.Event{Type: obs.TypeStarveAbort, Shard: obs.Any, Lane: obs.Any,
-				Value: float64(written), Reason: "pool unavailable"})
-		}
-		if err != nil || got < c {
-			if written == 0 {
-				http.Error(w, "pool unavailable", http.StatusServiceUnavailable)
-				return
-			}
-			// Mid-stream failure: the 200 and Content-Length are
-			// already on the wire. Abort the connection so the client
-			// sees a truncated body — never padded or stale bytes.
-			panic(http.ErrAbortHandler)
-		}
-		if written == 0 {
-			h := w.Header()
-			h["Content-Type"] = ctOctet
-			h["Content-Length"] = rb.contentLength(n)
-		}
-		w0 := time.Now()
-		_, werr := w.Write(chunk)
-		writeDur += time.Since(w0)
-		if werr != nil {
-			// Client went away; nothing useful left to do.
-			return
-		}
-		written += c
-	}
-	s.served.Add(uint64(n))
-}
-
-// healthzResponse is the /healthz payload. Each ShardStatus carries
-// the shard's latest assessed min-entropy, assessment age and epoch —
-// the inputs that gate DRBG reseeds — next to its health state; DRBG
-// is present in DRBG mode with the expansion-layer lane states.
-type healthzResponse struct {
-	Status    string                 `json:"status"`
-	Mode      string                 `json:"mode"`
-	Healthy   int                    `json:"healthy"`
-	Shards    []entropyd.ShardStatus `json:"shards"`
-	DRBG      *entropyd.DRBGStats    `json:"drbg,omitempty"`
-	Incidents *incidentSummary       `json:"incidents,omitempty"`
-}
-
-// incidentSummary is the /healthz open-incident summary line: how many
-// incidents are open right now, how many of those are correlated
-// (fleet-level), and how many incidents the engine has seen in total.
-type incidentSummary struct {
-	Open       int    `json:"open"`
-	Correlated int    `json:"correlated"`
-	Total      uint64 `json:"total"`
-}
-
-// handleHealthz is GET /healthz.
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	st := s.pool.Stats()
-	resp := healthzResponse{Mode: s.mode(), Healthy: st.Healthy, Shards: st.Shards}
-	if s.drbg != nil {
-		d := s.drbg.Stats()
-		resp.DRBG = &d
-	}
-	if eng := s.cfg.incidents; eng != nil {
-		ist := eng.Stats()
-		resp.Incidents = &incidentSummary{
-			Open:       ist.Open,
-			Correlated: ist.OpenByClass[incident.ClassCorrelated],
-			Total:      ist.Totals[incident.ClassSingleShard] + ist.Totals[incident.ClassCorrelated],
-		}
-	}
-	code := http.StatusOK
-	switch {
-	case st.Healthy == len(st.Shards):
-		resp.Status = "ok"
-	case st.Healthy > 0:
-		resp.Status = "degraded"
-	default:
-		resp.Status = "starved"
-		code = http.StatusServiceUnavailable
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(resp)
-}
-
-// assessResponse is the GET /assess payload: one entry per shard,
-// null until that shard's first assessment completes.
-type assessResponse struct {
-	Shards []*entropyd.Assessment `json:"shards"`
-}
-
-// handleAssess is GET /assess[?shard=I][&live=1]: the latest per-shard
-// SP 800-90B assessment reports — the periodic batch run by default,
-// or the live sliding-window streaming report with ?live=1.
-func (s *server) handleAssess(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	live := r.URL.Query().Get("live") == "1"
-	report := func(i int) *entropyd.Assessment {
-		if live {
-			return s.pool.Shard(i).LiveAssessment()
-		}
-		return s.pool.Shard(i).LastAssessment()
-	}
-	if q := r.URL.Query().Get("shard"); q != "" {
-		i, err := strconv.Atoi(q)
-		if err != nil || i < 0 || i >= s.pool.NumShards() {
-			http.Error(w, "shard out of range", http.StatusBadRequest)
-			return
-		}
-		a := report(i)
-		if a == nil {
-			if live {
-				http.Error(w, "no live report yet (tracker off or window not full)", http.StatusNotFound)
-			} else {
-				http.Error(w, "no assessment completed yet", http.StatusNotFound)
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(a)
-		return
-	}
-	resp := assessResponse{Shards: make([]*entropyd.Assessment, s.pool.NumShards())}
-	for i := range resp.Shards {
-		resp.Shards[i] = report(i)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
-}
-
-// handleEvents is GET /events[?since=SEQ&shard=I&lane=I&type=T&limit=N]:
-// the flight-recorder journal as one obs.Page, oldest matching event
-// first. last_seq is the reader's next ?since= cursor even when no
-// event matched; dropped is the history the ring overwrote before this
-// reader got to it. 404 when the journal is disabled (-events 0).
-func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.cfg.journal == nil {
-		http.Error(w, "event journal disabled (-events 0)", http.StatusNotFound)
-		return
-	}
-	q := obs.NewQuery()
-	values := r.URL.Query()
-	if v := values.Get("since"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			http.Error(w, "since must be a non-negative integer", http.StatusBadRequest)
-			return
-		}
-		q.Since = n
-	}
-	if v := values.Get("shard"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			http.Error(w, "shard must be a non-negative integer", http.StatusBadRequest)
-			return
-		}
-		q.Shard = n
-	}
-	if v := values.Get("lane"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			http.Error(w, "lane must be a non-negative integer", http.StatusBadRequest)
-			return
-		}
-		q.Lane = n
-	}
-	if v := values.Get("type"); v != "" {
-		q.Type = obs.Type(v)
-	}
-	if v := values.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			http.Error(w, "limit must be a positive integer", http.StatusBadRequest)
-			return
-		}
-		q.Max = n
-	}
-	page := s.cfg.journal.Read(q)
-	if page.Dropped > 0 {
-		s.dropped.Add(page.Dropped)
-	}
-	if page.Events == nil {
-		page.Events = []obs.Event{} // an empty page is "events": [], not null
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(page)
-}
-
-// incidentsResponse is the GET /incidents payload. LastID is the
-// reader's next ?since= cursor; Open counts the unresolved incidents
-// in the page (open incidents are returned whatever the cursor).
-type incidentsResponse struct {
-	LastID    uint64              `json:"last_id"`
-	WindowSec float64             `json:"window_seconds"`
-	Open      int                 `json:"open"`
-	Incidents []incident.Incident `json:"incidents"`
-}
-
-// handleIncidents is GET /incidents[?since=ID]: the fleet incident
-// view from the correlation engine — every open incident plus the
-// retained resolved incidents with ID > since, oldest first. 404 when
-// the engine is disabled (-incident-window 0 or -events 0).
-func (s *server) handleIncidents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	eng := s.cfg.incidents
-	if eng == nil {
-		http.Error(w, "incident engine disabled (-incident-window 0 or -events 0)", http.StatusNotFound)
-		return
-	}
-	var since uint64
-	if v := r.URL.Query().Get("since"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			http.Error(w, "since must be a non-negative integer", http.StatusBadRequest)
-			return
-		}
-		since = n
-	}
-	incs, last := eng.Incidents(since)
-	if incs == nil {
-		incs = []incident.Incident{}
-	}
-	open := 0
-	for i := range incs {
-		if !incs[i].Resolved {
-			open++
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(incidentsResponse{
-		LastID:    last,
-		WindowSec: eng.Window().Seconds(),
-		Open:      open,
-		Incidents: incs,
-	})
-}
-
-// handleQuarantine is POST /quarantine?shard=I (admin only).
-func (s *server) handleQuarantine(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	i, err := strconv.Atoi(r.URL.Query().Get("shard"))
-	if err != nil {
-		http.Error(w, "shard must be an integer", http.StatusBadRequest)
-		return
-	}
-	if err := s.pool.InjectAlarm(i); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	fmt.Fprintf(w, "alarm injected into shard %d\n", i)
-}
 
 // autoDivider returns the default eRO sampling divider for a jitter
 // amplification: K = 64·(100/amp)², which holds the accumulated jitter

@@ -146,9 +146,6 @@ type HealthConfig struct {
 	// 0 derives it from the source model (relative σ²_N at MonitorN
 	// plus the counter quantization floor).
 	RefSigmaN2 float64
-	// AlphaLow/AlphaHigh are the per-window false-alarm rates
-	// (default 1e-6 each, see onlinetest.Config).
-	AlphaLow, AlphaHigh float64
 	// RecalibrateBackoff is the serve-mode delay between failed
 	// recalibration attempts (default 250ms).
 	RecalibrateBackoff time.Duration

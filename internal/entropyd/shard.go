@@ -341,8 +341,6 @@ func (s *Shard) calibrate() error {
 			N:          h.MonitorN,
 			Window:     h.MonitorWindow,
 			RefSigmaN2: ref,
-			AlphaLow:   h.AlphaLow,
-			AlphaHigh:  h.AlphaHigh,
 		})
 		if err != nil {
 			return err

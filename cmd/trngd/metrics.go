@@ -38,7 +38,7 @@ type series struct {
 // or histogram, so HELP and TYPE are formatted in one place.
 type promWriter struct{ w io.Writer }
 
-func (p promWriter) sample(name, labels string, value any) {
+func (p promWriter) line(name, labels string, value any) {
 	if labels != "" {
 		labels = "{" + labels + "}"
 	}
@@ -48,7 +48,7 @@ func (p promWriter) sample(name, labels string, value any) {
 func (p promWriter) family(name, typ, help string, samples ...sample) {
 	fmt.Fprintf(p.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 	for _, s := range samples {
-		p.sample(name, s.labels, s.value)
+		p.line(name, s.labels, s.value)
 	}
 }
 
@@ -58,10 +58,10 @@ func (p promWriter) histogram(name, help string, ss ...series) {
 		cum := uint64(0)
 		for i, n := range s.buckets {
 			cum += n
-			p.sample(name+"_bucket", strings.TrimPrefix(s.labels+",le="+strconv.Quote(s.le[i]), ","), cum)
+			p.line(name+"_bucket", strings.TrimPrefix(s.labels+",le="+strconv.Quote(s.le[i]), ","), cum)
 		}
-		p.sample(name+"_sum", s.labels, s.sum)
-		p.sample(name+"_count", s.labels, cum)
+		p.line(name+"_sum", s.labels, s.sum)
+		p.line(name+"_count", s.labels, cum)
 	}
 }
 

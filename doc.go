@@ -71,7 +71,9 @@
 // the raw gated stream with -mode raw. The DRBG lanes generate one
 // block at a time in plain round-robin rotation under one lock, and
 // the shards of a DRBG-mode pool keep no raw output ring: they run the
-// health gates, surveillance and seed tap and discard the gated bytes.
+// health gates, surveillance and seed tap on raw chunks, keep no gated
+// bytes, and rest once the tap is full, assessed and covered by one
+// live streaming window, until a seed draw frees tap space.
 //
 // Load and measurement: internal/loadstat is the latency layer — a
 // lock-free log-bucketed HDR-style histogram cheap enough for the

@@ -400,9 +400,10 @@ func TestDRBGReseedUnderQuarantine(t *testing.T) {
 }
 
 // TestDRBGServeMode: the expansion layer rides a SERVING pool — the
-// producers' surveillance duty keeps taps and assessments live with
-// nothing draining the raw rings — and an injected quarantine during
-// service degrades the DRBG pool instead of failing it.
+// producers gate until taps are full and assessed, rest, and wake when
+// seed draws free tap space, with no raw consumer — and an injected
+// quarantine during service degrades the DRBG pool instead of failing
+// it.
 func TestDRBGServeMode(t *testing.T) {
 	t.Parallel()
 	cfg := drbgTestConfig(2, 23)
@@ -422,7 +423,8 @@ func TestDRBGServeMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Serve-mode producers must assess and fill taps on their own
-	// (surveillance duty); allow generous wall time on slow runners.
+	// (unpaced until the first assessment); allow generous wall time
+	// on slow runners.
 	deadline := time.Now().Add(30 * time.Second)
 	buf := make([]byte, 4096)
 	for {
@@ -445,8 +447,9 @@ func TestDRBGServeMode(t *testing.T) {
 
 // TestTappedPoolServesWithoutRing: a serving tapped pool has no raw
 // output path — ReadBuffered refuses it and no shard buffers bytes —
-// yet its producers keep the gates, the assessment and the tap
-// advancing, and a DRBGPool over it serves.
+// yet its producers advance the gates, the assessment and the tap
+// (until the tap is full and assessed, and again after seed draws),
+// and a DRBGPool over it serves.
 func TestTappedPoolServesWithoutRing(t *testing.T) {
 	t.Parallel()
 	p, err := New(drbgTestConfig(2, 41))

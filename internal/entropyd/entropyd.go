@@ -79,8 +79,17 @@
 //
 // A pool with a seed tap (Config.SeedTapBytes > 0) serves DRBG output
 // through DRBGPool instead, never the raw stream: it has no output
-// rings, its serve-mode producers run the gates, surveillance and tap
-// and discard the gated bytes, and ReadBuffered refuses it.
+// rings and ReadBuffered refuses it. Its serve-mode producers gate raw
+// chunks through the tests, surveillance and tap and keep no gated
+// bytes. Like a ring producer on a full ring, a tapped producer rests
+// once its buffer is saturated: the shard holds an assessment of its
+// current epoch, its tap is full, and one live window
+// (HealthConfig.StreamWindow raw bits) has been gated behind the newest
+// tapped chunk. Seed draws free tap space and wake it. Surveillance is
+// therefore paced per raw bit, not per second: every bit that can reach
+// a seed has passed tot, the thermal monitor and the tracker with a
+// full window after it, but a resting shard tests nothing, so an idle
+// daemon's assessment and live-report ages grow in wall time by design.
 //
 // Quarantined shards heal automatically in serve mode (producer
 // goroutines recalibrate with backoff); in batch mode the caller
@@ -276,9 +285,11 @@ type Config struct {
 	// never changes the output stream, but its contents are raw-stream
 	// material, so a tapped pool serves DRBG output and never the raw
 	// stream: it has no output rings and ReadBuffered returns
-	// ErrNotServing. In serve mode its producers keep generating (and
-	// discarding) gated bytes, so the embedded tests, assessments and
-	// the tap stay live without a raw consumer. Requires assessment
+	// ErrNotServing. In serve mode its producers gate raw chunks
+	// without a raw consumer, so the embedded tests, assessments and
+	// the tap run on every tapped bit, and they rest once the tap is
+	// full, assessed and one StreamWindow of raw bits past its newest
+	// chunk (see Serve). Requires assessment
 	// (DisableAssess must be false): the assessed min-entropy is the
 	// seed accounting input.
 	SeedTapBytes int
@@ -742,17 +753,25 @@ type ShardStatus struct {
 	StreamNsPerBit float64 `json:"stream_ns_per_bit"`
 	// Seed-tap bookkeeping (zero when the tap is disabled): raw bytes
 	// mirrored into the tap, dropped on a full tap, and consumed by
-	// seed draws.
+	// seed draws. A serving tapped shard rests once its tap is full
+	// and covered by one live window, so TapDropped counts the
+	// lookahead chunks gated behind a full tap (plus any gated before
+	// the epoch's first assessment, and batch-mode Fill chunks).
 	TapBytes      uint64 `json:"tap_bytes"`
 	TapDropped    uint64 `json:"tap_dropped"`
 	SeedBytesUsed uint64 `json:"seed_bytes_used"`
+	// RestSeconds is the wall time the serve-mode producer spent
+	// resting on a saturated buffer (a full ring, or a full, assessed
+	// and surveyed tap): the time pacing kept the shard idle.
+	RestSeconds float64 `json:"rest_seconds"`
 }
 
 // Stats is a point-in-time snapshot of the pool. BytesServed counts
 // bytes delivered to consumers through any mode (Fill, Read,
 // ReadBuffered); the per-shard BytesOut counters additionally include
-// produced-but-undelivered bytes: sitting in or drained from rings, or
-// discarded by a tapped pool's producers.
+// produced-but-undelivered bytes sitting in or drained from rings. A
+// tapped pool's serve-mode producers pack no bytes, so they add
+// nothing to BytesOut.
 type Stats struct {
 	Shards      []ShardStatus `json:"shards"`
 	Healthy     int           `json:"healthy"`
@@ -789,6 +808,7 @@ func (p *Pool) Stats() Stats {
 			TapBytes:         s.tapBytes.Load(),
 			TapDropped:       s.tapDropped.Load(),
 			SeedBytesUsed:    s.seedBytes.Load(),
+			RestSeconds:      time.Duration(s.restNanos.Load()).Seconds(),
 		}
 		if s.ring != nil {
 			st.Shards[i].Buffered = s.ring.buffered()

@@ -11,20 +11,23 @@ import (
 // to catch up — short, because it sits on the request latency path.
 const pollInterval = 100 * time.Microsecond
 
-// idlePoll is the producer's sleep when its ring is full: an idle
-// daemon then costs ~1k wakeups/s/shard instead of 10k, and the
-// latency cost is nil — a full ring has at least one whole block
-// buffered ahead of the consumer.
+// idlePoll is a healthy producer's rest when its shard is saturated
+// (see Shard.saturated): an idle daemon then costs ~1k timer
+// wakeups/s/shard and never spins. On a ring shard the latency cost is
+// nil, since a full ring has at least one whole block buffered ahead of
+// the consumer; on a tapped shard a seed draw that frees tap space
+// wakes production within one idlePoll.
 const idlePoll = time.Millisecond
 
 // Serve switches the pool into daemon mode: one producer goroutine per
-// shard keeps the shard's ring topped up with gated bytes, quarantined
+// shard keeps the shard's buffer topped up with gated bits, quarantined
 // shards recalibrate themselves with backoff, and consumers drain the
 // rings through ReadBuffered. A tapped pool (Config.SeedTapBytes > 0)
-// has no rings: its producers run the gates, surveillance and seed tap
-// and discard the gated bytes. Serve returns immediately; production
-// stops — and the pool returns to batch mode — when ctx is cancelled
-// or Stop is called, whichever comes first.
+// has no rings: its producers gate raw chunks through the tests,
+// surveillance and seed tap, keep no gated bytes, and rest once the
+// tap is full, assessed and covered by one live window. Serve returns
+// immediately; production stops — and the pool returns to batch mode —
+// when ctx is cancelled or Stop is called, whichever comes first.
 //
 // Batch mode (Fill/Read/Recalibrate) is unavailable while serving.
 func (p *Pool) Serve(ctx context.Context) error {
@@ -76,41 +79,37 @@ func (p *Pool) Stop() {
 	finish() // blocks until the (possibly concurrent) shutdown completed
 }
 
-// runShard is a shard's producer loop: keep the ring full (or, on a
-// tapped pool, keep producing) while healthy, recalibrate with backoff
-// while quarantined.
+// runShard is a shard's producer loop: while healthy, fill the
+// shard's buffer (the ring, or on a tapped pool the seed tap plus one
+// live window of lookahead) and rest once it is saturated; while
+// quarantined, recalibrate with backoff. Startup, recalibration and
+// the first assessment of an epoch are never paced.
 func (p *Pool) runShard(ctx context.Context, s *Shard) {
 	chunk := make([]byte, fillBlock)
 	for ctx.Err() == nil {
 		switch s.State() {
 		case StateHealthy:
-			// Injected alarms must land even when the ring is full
-			// and produce() (the other check site) never runs — an
-			// idle daemon still honors the operator drill.
+			// Checked every step, resting ones included, so an
+			// operator drill lands within one idlePoll even when
+			// production is idle.
 			if s.injected.Swap(false) {
 				s.quarantine(ReasonInjected)
 				continue
 			}
-			if s.ring == nil {
-				// Surveillance duty (DRBG mode): nothing consumes the
-				// raw stream, but the embedded tests, the periodic
-				// assessment and the seed tap all live off fresh raw
-				// bits — the hardware analogue of a free-running
-				// source under continuous health monitoring.
-				s.produce(chunk)
-				continue
-			}
-			free := s.ring.free()
-			if free == 0 {
-				if !sleepCtx(ctx, idlePoll) {
+			if s.saturated() {
+				start := time.Now()
+				alive := sleepCtx(ctx, idlePoll)
+				s.restNanos.Add(uint64(time.Since(start)))
+				if !alive {
 					return
 				}
 				continue
 			}
-			if free > len(chunk) {
-				free = len(chunk)
+			if s.ring == nil {
+				s.survey()
+				continue
 			}
-			n := s.produce(chunk[:free])
+			n := s.produce(chunk[:min(s.ring.free(), len(chunk))])
 			// An alarm mid-produce already drained the ring; the
 			// bytes produced just before it are equally suspect
 			// and must not be pushed.

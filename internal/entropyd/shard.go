@@ -176,6 +176,13 @@ type Shard struct {
 	tap        *ring
 	tapScratch []byte
 
+	// Owner-goroutine production counters: sinceTap counts the raw
+	// bits gated since a chunk last entered the seed tap (the pacing
+	// lookahead), and dry the consecutive chunks that gated no bits
+	// (the maxDryChunks rule).
+	sinceTap int
+	dry      int
+
 	// Published state (atomics; readable from any goroutine).
 	state        atomic.Int32
 	reason       atomic.Int32
@@ -198,6 +205,7 @@ type Shard struct {
 	tapBytes     atomic.Uint64
 	tapDropped   atomic.Uint64
 	seedBytes    atomic.Uint64
+	restNanos    atomic.Uint64 // wall time the serve-mode producer spent resting
 }
 
 // Assessment is one completed SP 800-90B raw-bit assessment of a
@@ -280,6 +288,7 @@ func (s *Shard) calibrate() error {
 	s.injected.Store(false)
 	s.bitbuf, s.bitpos = s.bitbuf[:0], 0
 	s.assessBuf, s.assessWait = s.assessBuf[:0], 0
+	s.sinceTap, s.dry = 0, 0
 	if s.raw == nil {
 		s.raw = make([]byte, rawChunk)
 	}
@@ -514,12 +523,16 @@ func (s *Shard) gateChunk() ([]byte, Reason) {
 		// healthy-epoch bits are tapped (startup-test bits are not),
 		// and a full tap drops the chunk rather than stalling
 		// production: raw bits are not scarce, bounded memory is.
+		// sinceTap measures the live-window lookahead behind the
+		// newest tapped chunk (see saturated).
 		packed := s.packChunk(raw)
 		if s.tap.free() >= len(packed) {
 			s.tap.push(packed)
 			s.tapBytes.Add(uint64(len(packed)))
+			s.sinceTap = 0
 		} else {
 			s.tapDropped.Add(uint64(len(packed)))
+			s.sinceTap += rawChunk
 		}
 	}
 	bits := raw
@@ -618,7 +631,6 @@ func (s *Shard) collectStream(raw []byte) Reason {
 // shard's owner goroutine while Healthy.
 func (s *Shard) produce(dst []byte) int {
 	n := 0
-	dry := 0
 	for {
 		// Pack whole bytes out of the gated-bit buffer.
 		for len(s.bitbuf)-s.bitpos >= 8 && n < len(dst) {
@@ -646,20 +658,57 @@ func (s *Shard) produce(dst []byte) int {
 			return n
 		}
 		if len(gated) == 0 {
-			dry++
-			if dry >= maxDryChunks {
+			if s.dry++; s.dry >= maxDryChunks {
 				s.quarantine(ReasonTot)
 				s.bytesOut.Add(uint64(n))
 				return n
 			}
 			continue
 		}
-		dry = 0
+		s.dry = 0
 		// Compact the consumed prefix (< 8 leftover bits) before
 		// appending the fresh chunk, keeping the buffer bounded.
 		s.bitbuf = s.bitbuf[:copy(s.bitbuf, s.bitbuf[s.bitpos:])]
 		s.bitpos = 0
 		s.bitbuf = append(s.bitbuf, gated...)
+	}
+}
+
+// saturated reports whether a healthy shard's buffer can take no more
+// output, which is when its serve-mode producer rests. A ring shard is
+// saturated when its ring is full. A tapped shard is saturated when
+// three things hold: it carries an assessment of its current epoch
+// (as seedEntropy requires), its tap cannot take another packed chunk,
+// and at least one live window (Health.StreamWindow raw bits) has been
+// gated since the last chunk entered the tap. The last condition makes
+// surveillance per raw bit: every tapped bit has a full window of tot,
+// §V and tracker tests behind it before the shard rests, whatever the
+// wall time. Owner goroutine only.
+func (s *Shard) saturated() bool {
+	if s.ring != nil {
+		return s.ring.free() == 0
+	}
+	return s.currentAssessment() != nil &&
+		s.tap.free() < rawChunk/8 &&
+		s.sinceTap >= s.pool.cfg.Health.StreamWindow
+}
+
+// survey advances a tapped shard by one raw chunk: the embedded tests,
+// surveillance, assessment and seed tap all see it, and the gated bits
+// are dropped, since a tapped pool never serves the raw stream. An
+// alarm quarantines the shard, as do maxDryChunks consecutive chunks
+// that gate no bits. Owner goroutine only, while Healthy.
+func (s *Shard) survey() {
+	gated, alarm := s.gateChunk()
+	switch {
+	case alarm != ReasonNone:
+		s.quarantine(alarm)
+	case len(gated) > 0:
+		s.dry = 0
+	default:
+		if s.dry++; s.dry >= maxDryChunks {
+			s.quarantine(ReasonTot)
+		}
 	}
 }
 
@@ -682,6 +731,16 @@ func (s *Shard) packChunk(bits []byte) []byte {
 	return out
 }
 
+// currentAssessment returns the latest assessment when it describes the
+// current calibration epoch, nil otherwise: a report from before the
+// last recalibration describes a different source build.
+func (s *Shard) currentAssessment() *Assessment {
+	if a := s.LastAssessment(); a != nil && a.Epoch == s.Epoch() {
+		return a
+	}
+	return nil
+}
+
 // seedEntropy reports whether the shard may currently contribute seed
 // material, and at what assessed per-bit min-entropy. Eligibility is
 // strict: the shard must be Healthy AND carry a completed SP 800-90B
@@ -693,8 +752,8 @@ func (s *Shard) seedEntropy(minH float64) (float64, bool) {
 	if s.State() != StateHealthy {
 		return 0, false
 	}
-	a := s.LastAssessment()
-	if a == nil || a.Epoch != s.Epoch() {
+	a := s.currentAssessment()
+	if a == nil {
 		return 0, false
 	}
 	h := a.Report.MinEntropy

@@ -197,7 +197,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	shard("gauge", "trngd_shard_state", "Shard state (0 startup, 1 healthy, 2 quarantined).", func(sh entropyd.ShardStatus) any { return map[string]int{"healthy": 1, "quarantined": 2}[sh.State] })
 	shard("counter", "trngd_shard_bytes_total", "Gated bytes produced.", func(sh entropyd.ShardStatus) any { return sh.BytesOut })
 	shard("counter", "trngd_shard_raw_bits_total", "Raw (das) bits consumed.", func(sh entropyd.ShardStatus) any { return sh.RawBits })
-	shard("counter", "trngd_shard_rest_seconds_total", "Wall time the producer rested on a saturated buffer (full ring, or full, assessed and surveyed seed tap).", func(sh entropyd.ShardStatus) any { return sh.RestSeconds })
+	shard("counter", "trngd_shard_rest_seconds_total", "Wall time the producer rested on a saturated buffer (full ring, or full, assessed and surveyed seed tap) or waiting for a survey slot.", func(sh entropyd.ShardStatus) any { return sh.RestSeconds })
 	shard("counter", "trngd_shard_tot_alarms_total", "Total-failure test alarms.", func(sh entropyd.ShardStatus) any { return sh.TotAlarms })
 	shard("counter", "trngd_shard_thermal_low_alarms_total", "Thermal monitor low-side alarms.", func(sh entropyd.ShardStatus) any { return sh.MonitorLow })
 	shard("counter", "trngd_shard_thermal_high_alarms_total", "Thermal monitor high-side alarms.", func(sh entropyd.ShardStatus) any { return sh.MonitorHigh })

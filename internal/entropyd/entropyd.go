@@ -85,7 +85,13 @@
 // once its buffer is saturated: the shard holds an assessment of its
 // current epoch, its tap is full, and one live window
 // (HealthConfig.StreamWindow raw bits) has been gated behind the newest
-// tapped chunk. Seed draws free tap space and wake it. Surveillance is
+// tapped chunk. Seed draws free tap space and wake it. Between its
+// epoch's first assessment and its rest, a tapped producer gates each
+// raw chunk under one of max(1, GOMAXPROCS-1) survey slots shared by
+// the pool's producers, and shards recalibrating or assessing a new
+// epoch take those slots first. Topping up taps thus never occupies
+// every processor, requests do not queue behind it, and it does not
+// slow a shard's return to service. Surveillance is
 // therefore paced per raw bit, not per second: every bit that can reach
 // a seed has passed tot, the thermal monitor and the tracker with a
 // full window after it, but a resting shard tests nothing, so an idle
@@ -762,7 +768,8 @@ type ShardStatus struct {
 	SeedBytesUsed uint64 `json:"seed_bytes_used"`
 	// RestSeconds is the wall time the serve-mode producer spent
 	// resting on a saturated buffer (a full ring, or a full, assessed
-	// and surveyed tap): the time pacing kept the shard idle.
+	// and surveyed tap) or, on a tapped shard, waiting for a survey
+	// slot: the time pacing kept the shard idle.
 	RestSeconds float64 `json:"rest_seconds"`
 }
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -247,6 +249,172 @@ func TestRingShardRestCounted(t *testing.T) {
 	}
 	if b := p.Stats().Shards[0].Buffered; b != fillBlock {
 		t.Fatalf("resting ring shard buffers %d bytes, want a full ring (%d)", b, fillBlock)
+	}
+}
+
+// bitLog records which shard drew each raw bit across a pool's
+// sources. A run is a stretch of consecutive bits from one shard; a
+// run that ends off a chunk boundary means two producers gated at once.
+type bitLog struct {
+	mu     sync.Mutex
+	cur    int // shard of the current run, -1 before the first bit
+	run    int // bits in the current run
+	runs   int // completed runs
+	broken int // completed runs that were not whole chunks
+}
+
+func (l *bitLog) source(shard, epoch int, seed uint64) (RawSource, error) {
+	src, err := goodScript(shard, epoch, seed)
+	return hookSource{RawSource: src, hook: func() { l.add(shard) }}, err
+}
+
+// reset starts a fresh log; call it while no producer is gating.
+func (l *bitLog) reset() {
+	l.mu.Lock()
+	l.cur, l.run, l.runs, l.broken = -1, 0, 0, 0
+	l.mu.Unlock()
+}
+
+func (l *bitLog) add(shard int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if shard != l.cur {
+		if l.cur >= 0 {
+			l.runs++
+			if l.run%rawChunk != 0 {
+				l.broken++
+			}
+		}
+		l.cur, l.run = shard, 0
+	}
+	l.run++
+}
+
+// hookSource calls hook before every raw bit it draws.
+type hookSource struct {
+	RawSource
+	hook func()
+}
+
+func (s hookSource) NextBit() byte {
+	s.hook()
+	return s.RawSource.NextBit()
+}
+
+// TestSurveySlotsSerializePacedWork: with GOMAXPROCS 2 at Serve there
+// is one survey slot, so two assessed shards woken by seed draws top
+// up their taps one whole raw chunk at a time, taking turns, and never
+// gate at once. Not parallel: it sets GOMAXPROCS.
+func TestSurveySlotsSerializePacedWork(t *testing.T) {
+	log := &bitLog{cur: -1}
+	cfg := pacedConfig(56)
+	cfg.NewSource = log.source
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot := p.Stats()
+	prev := runtime.GOMAXPROCS(2)
+	servePool(t, p)
+	runtime.GOMAXPROCS(prev)
+	rest := awaitRest(t, p, boot)
+
+	log.reset()
+	src, err := p.SeedSource(SeedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range p.shards {
+		if err := src.Seed(make([]byte, 128), i, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	awaitRest(t, p, rest)
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	if log.runs == 0 {
+		t.Fatal("only one shard gated after the seed draws")
+	}
+	if log.broken > 0 || log.run%rawChunk != 0 {
+		t.Fatalf("%d of %d runs (last %d bits) were not whole chunks: the shards gated at once",
+			log.broken, log.runs, log.run)
+	}
+}
+
+// TestUnpacedWorkHoldsOffSurvey: a shard on its way back into service
+// comes before paced survey work. With one survey slot, shard 1 tops up
+// a drained tap while shard 0 assesses its new epoch after a drill;
+// shard 1 finishes at most the chunk it had begun and resumes once
+// shard 0 is assessed. Shard 0's new source sleeps 1 ms per chunk, so
+// its assessment outlasts shard 1's backlog. Not parallel: it sets
+// GOMAXPROCS.
+func TestUnpacedWorkHoldsOffSurvey(t *testing.T) {
+	var (
+		pool          atomic.Pointer[Pool]
+		started       atomic.Bool  // shard 0 drew its first epoch-1 bit
+		during, after atomic.Int64 // shard 1 bits before/after shard 0's epoch-1 assessment
+	)
+	cfg := pacedConfig(57)
+	cfg.SeedTapBytes = 4096
+	cfg.Health.AssessEveryBits = 1 << 20
+	cfg.Health.RecalibrateBackoff = time.Millisecond
+	cfg.NewSource = func(shard, epoch int, seed uint64) (RawSource, error) {
+		src, err := goodScript(shard, epoch, seed)
+		hook := func() {}
+		switch {
+		case shard == 0 && epoch == 1:
+			n := 0
+			hook = func() {
+				started.Store(true)
+				if n++; n%rawChunk == 0 {
+					time.Sleep(time.Millisecond)
+				}
+			}
+		case shard == 1:
+			hook = func() {
+				if !started.Load() {
+					return
+				}
+				if a := pool.Load().Shard(0).LastAssessment(); a != nil && a.Epoch >= 1 {
+					after.Add(1)
+				} else {
+					during.Add(1)
+				}
+			}
+		}
+		return hookSource{RawSource: src, hook: hook}, err
+	}
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Store(p)
+	boot := p.Stats()
+	prev := runtime.GOMAXPROCS(2)
+	servePool(t, p)
+	runtime.GOMAXPROCS(prev)
+	awaitRest(t, p, boot)
+
+	if err := p.InjectAlarm(0); err != nil {
+		t.Fatal(err)
+	}
+	src, err := p.SeedSource(SeedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Seed(make([]byte, 1024), 1, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for after.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("shard 1 never resumed after shard 0's assessment (%d bits during it): %+v",
+				during.Load(), p.Stats().Shards)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if d := during.Load(); d > rawChunk {
+		t.Fatalf("shard 1 gated %d raw bits while shard 0 assessed its new epoch, want at most one chunk (%d)", d, rawChunk)
 	}
 }
 

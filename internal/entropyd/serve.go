@@ -3,7 +3,9 @@ package entropyd
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -16,7 +18,8 @@ const pollInterval = 100 * time.Microsecond
 // wakeups/s/shard and never spins. On a ring shard the latency cost is
 // nil, since a full ring has at least one whole block buffered ahead of
 // the consumer; on a tapped shard a seed draw that frees tap space
-// wakes production within one idlePoll.
+// wakes production within one idlePoll. A tapped producer waiting for
+// a survey slot rests the same way.
 const idlePoll = time.Millisecond
 
 // Serve switches the pool into daemon mode: one producer goroutine per
@@ -25,7 +28,9 @@ const idlePoll = time.Millisecond
 // rings through ReadBuffered. A tapped pool (Config.SeedTapBytes > 0)
 // has no rings: its producers gate raw chunks through the tests,
 // surveillance and seed tap, keep no gated bytes, and rest once the
-// tap is full, assessed and covered by one live window. Serve returns
+// tap is full, assessed and covered by one live window; until then,
+// once its epoch is assessed, it gates under the session's survey duty
+// (see surveyDuty). Serve returns
 // immediately; production stops — and the pool returns to batch mode —
 // when ctx is cancelled or Stop is called, whichever comes first.
 //
@@ -50,11 +55,12 @@ func (p *Pool) Serve(ctx context.Context) error {
 		})
 	}
 	p.finish = finish
+	duty := newSurveyDuty()
 	for _, s := range p.shards {
 		wg.Add(1)
 		go func(s *Shard) {
 			defer wg.Done()
-			p.runShard(ctx, s)
+			p.runShard(ctx, s, duty)
 		}(s)
 	}
 	go func() {
@@ -79,13 +85,65 @@ func (p *Pool) Stop() {
 	finish() // blocks until the (possibly concurrent) shutdown completed
 }
 
+// surveyDuty is a serve session's budget for the survey work that can
+// wait: a tapped shard topping up its seed tap after its epoch's first
+// assessment. Such a shard gates a raw chunk only while it holds one of
+// the slots, max(1, GOMAXPROCS-1) of them, and only while the shards
+// doing unpaced work (recalibrating, or assessing a new epoch) leave
+// one over. Surveillance that can wait thus never takes the last
+// processor from the request path, nor one from a shard on its way
+// back into service.
+type surveyDuty struct {
+	slots   chan struct{}
+	unpaced atomic.Int32 // tapped shards recalibrating or on their first assessment
+}
+
+func newSurveyDuty() *surveyDuty {
+	return &surveyDuty{slots: make(chan struct{}, max(1, runtime.GOMAXPROCS(0)-1))}
+}
+
+// mark moves one shard's unpaced flag (*was, owned by the shard's
+// producer) to now, keeping the session count in step.
+func (d *surveyDuty) mark(was *bool, now bool) {
+	if *was == now {
+		return
+	}
+	*was = now
+	if now {
+		d.unpaced.Add(1)
+	} else {
+		d.unpaced.Add(-1)
+	}
+}
+
+// acquire waits up to one idlePoll for a slot, resting while it waits,
+// and reports whether the caller holds one. A slot that unpaced work
+// needs is given back at once.
+func (d *surveyDuty) acquire(ctx context.Context, s *Shard) (alive, held bool) {
+	select {
+	case d.slots <- struct{}{}:
+	default:
+		if alive, held = s.rest(ctx, d.slots); !held {
+			return alive, false
+		}
+	}
+	if int(d.unpaced.Load())+len(d.slots) > cap(d.slots) {
+		<-d.slots
+		return s.rest(ctx, nil)
+	}
+	return true, true
+}
+
 // runShard is a shard's producer loop: while healthy, fill the
 // shard's buffer (the ring, or on a tapped pool the seed tap plus one
 // live window of lookahead) and rest once it is saturated; while
 // quarantined, recalibrate with backoff. Startup, recalibration and
-// the first assessment of an epoch are never paced.
-func (p *Pool) runShard(ctx context.Context, s *Shard) {
+// the first assessment of an epoch are never paced; after it, a tapped
+// shard surveys each chunk under the session's survey duty.
+func (p *Pool) runShard(ctx context.Context, s *Shard, duty *surveyDuty) {
 	chunk := make([]byte, fillBlock)
+	unpaced := false
+	defer duty.mark(&unpaced, false)
 	for ctx.Err() == nil {
 		switch s.State() {
 		case StateHealthy:
@@ -96,17 +154,28 @@ func (p *Pool) runShard(ctx context.Context, s *Shard) {
 				s.quarantine(ReasonInjected)
 				continue
 			}
+			if s.ring == nil {
+				duty.mark(&unpaced, s.currentAssessment() == nil)
+			}
 			if s.saturated() {
-				start := time.Now()
-				alive := sleepCtx(ctx, idlePoll)
-				s.restNanos.Add(uint64(time.Since(start)))
-				if !alive {
+				if alive, _ := s.rest(ctx, nil); !alive {
 					return
 				}
 				continue
 			}
 			if s.ring == nil {
-				s.survey()
+				if unpaced {
+					s.survey()
+					continue
+				}
+				alive, held := duty.acquire(ctx, s)
+				if !alive {
+					return
+				}
+				if held {
+					s.survey()
+					<-duty.slots
+				}
 				continue
 			}
 			n := s.produce(chunk[:min(s.ring.free(), len(chunk))])
@@ -117,15 +186,36 @@ func (p *Pool) runShard(ctx context.Context, s *Shard) {
 				s.ring.push(chunk[:n])
 			}
 		case StateQuarantined:
+			duty.mark(&unpaced, false)
 			if !sleepCtx(ctx, p.cfg.Health.RecalibrateBackoff) {
 				return
 			}
+			duty.mark(&unpaced, s.ring == nil)
 			s.recalibrate()
 		default:
 			if !sleepCtx(ctx, pollInterval) {
 				return
 			}
 		}
+	}
+}
+
+// rest parks a healthy producer for up to idlePoll and counts the time
+// as rest. With non-nil slots it also queues for a survey slot and
+// returns early once it holds one (held). Channel senders are served in
+// FIFO order, so shards waiting for a slot take turns chunk by chunk.
+func (s *Shard) rest(ctx context.Context, slots chan<- struct{}) (alive, held bool) {
+	start := time.Now()
+	defer func() { s.restNanos.Add(uint64(time.Since(start))) }()
+	t := time.NewTimer(idlePoll)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return false, false
+	case <-t.C:
+		return true, false
+	case slots <- struct{}{}:
+		return true, true
 	}
 }
 
